@@ -22,12 +22,7 @@ namespace {
 
 /// One multi-process trial's configuration, all drawn from the trial
 /// seed (the same family spread as the certify campaign's generator).
-struct DistTrial {
-  std::string algo;
-  std::string graph_kind;
-  NodeId n = 0;
-  IdAssignment ids;
-  std::string ids_family;
+struct DistTrial : CycleTrial {
   bool wrapped = false;
   FaultPlan plan;
   std::vector<std::uint8_t> torn_crash;
@@ -81,33 +76,7 @@ DistTrial generate_dist_trial(const std::vector<std::string>& algos,
                               std::uint64_t trial_seed, DistFaultMode mode) {
   Xoshiro256 rng(trial_seed);
   DistTrial cfg;
-  cfg.algo = algos[rng.below(algos.size())];
-  cfg.n = n_min + static_cast<NodeId>(rng.below(n_max - n_min + 1u));
-  cfg.graph_kind = (cfg.algo == "five" && rng.chance(0.25)) ? "path" : "cycle";
-  switch (rng.below(5)) {
-    case 0:
-      cfg.ids = random_ids(cfg.n, rng());
-      cfg.ids_family = "random";
-      break;
-    case 1:
-      cfg.ids = sorted_ids(cfg.n);
-      cfg.ids_family = "sorted";
-      break;
-    case 2:
-      cfg.ids = alternating_ids(cfg.n);
-      cfg.ids_family = "alternating";
-      break;
-    case 3: {
-      const NodeId run = 1 + static_cast<NodeId>(rng.below(cfg.n - 1));
-      cfg.ids = zigzag_ids(cfg.n, run);
-      cfg.ids_family = "zigzag(" + std::to_string(run) + ")";
-      break;
-    }
-    default:
-      cfg.ids = permutation_ids(cfg.n, rng());
-      cfg.ids_family = "perm";
-      break;
-  }
+  draw_cycle_trial(cfg, algos, n_min, n_max, rng);
   cfg.plan = FaultPlan(cfg.n);
   cfg.torn_crash.assign(cfg.n, 0);
   std::ostringstream desc;
@@ -185,342 +154,283 @@ std::optional<DistFaultMode> parse_dist_fault_mode(const std::string& name) {
   return std::nullopt;
 }
 
-DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
-  FTCC_EXPECTS(options.n_min >= 3 && options.n_min <= options.n_max);
-  std::vector<std::string> algos =
-      options.algos.empty() ? campaign_algorithms() : options.algos;
-  for (const auto& name : algos) FTCC_EXPECTS(known_algorithm(name));
-  if (!options.artifact_dir.empty())
-    std::filesystem::create_directories(options.artifact_dir);
-  if (!options.log_dir.empty())
-    std::filesystem::create_directories(options.log_dir);
+namespace {
+
+/// The dist campaign's trial body for the campaign core.  Not parallel
+/// safe (DistExecutor forks), so the core calls trial() inline, in trial
+/// order, and the backend may keep plain running tallies.
+struct DistBackend {
+  using Failure = DistCampaignFailure;
+  static constexpr const char* kPrefix = "dist";
+  static constexpr bool kParallelSafe = false;
+
+  const DistCampaignOptions& options;
+  std::vector<std::string> algos;
+  /// Running dist tallies (completed, certified, violations, digest);
+  /// the core fills in trials, failures and text.
+  DistCampaignReport tally = {};
+  std::uint64_t crashed_nodes = 0;
+  obs::Histogram* steps = nullptr;
+  obs::Histogram* events = nullptr;
+
+  TrialResult<Failure> trial(std::uint64_t trial, std::uint64_t seed,
+                             obs::TraceSink* trace);
+};
+
+TrialResult<DistCampaignFailure> DistBackend::trial(std::uint64_t trial,
+                                                    std::uint64_t seed,
+                                                    obs::TraceSink* /*trace*/) {
+  TrialResult<Failure> outcome;
+  obs::Stopwatch trial_watch;
+  DistTrial cfg = generate_dist_trial(algos, options.n_min, options.n_max,
+                                      seed, options.inject);
+  const Graph graph = cfg.graph();
+
+  DistOptions dopts;
+  dopts.max_read_attempts = options.max_read_attempts;
+  dopts.overlap = options.overlap;
+  dopts.torn_crash = cfg.torn_crash;
+
+  // Position this trial's harvested spans on the merged timeline:
+  // slot timestamps are ns since the region epoch, and the region is
+  // created (just) inside ex.run, so "sink time at trial start" is
+  // the right additive offset.
+  const std::uint64_t trial_offset_us =
+      options.trace != nullptr ? options.trace->now_us() : 0;
+
+  HbLog log;
+  DistTelemetry telemetry;
+  const bool want_telemetry =
+      options.metrics != nullptr || options.trace != nullptr;
+  ExecutionResult<std::uint64_t> result;
+  std::string runtime_error;
+  const CertifyReport verdict = with_campaign_algorithm(
+      cfg.algo, cfg.wrapped,
+      [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
+        DistExecutor<decltype(algo)> ex(algo, graph, cfg.ids, cfg.plan,
+                                        dopts);
+        ex.attach_hb_log(&log);
+        if (want_telemetry) ex.attach_telemetry(&telemetry);
+        result = ex.run(*cfg.sched, options.max_steps);
+        runtime_error = ex.error();
+        return certify_log(algo, graph, cfg.ids, log);
+      });
+
+  PartialColoring colors(cfg.n);
+  for (NodeId v = 0; v < cfg.n; ++v)
+    if (result.outputs[v]) colors[v] = *result.outputs[v];
+  const bool proper = is_proper_partial(graph, colors);
+  const std::uint64_t digest = decisions_digest(trial, result);
+  tally.decisions_digest ^= digest;
+
+  if (result.completed) ++tally.completed;
+  if (verdict.ok()) ++tally.certified;
+  if (!proper) ++tally.violations;
+  crashed_nodes += result.fate_count(NodeFate::crashed);
+  if (steps) {
+    steps->observe(result.steps);
+    events->observe(log.total_events());
+  }
+  if (options.metrics != nullptr) {
+    // Per-trial metric row (gauges share the trial.NNNNN prefix):
+    // enough for `tools/report diff` to localize a regression to one
+    // trial and re-run it by seed.  The 64-bit seed is split into two
+    // 32-bit halves because gauge values are doubles.
+    const std::string key = trial_key(trial) + ".";
+    const std::pair<const char*, double> row[] = {
+        {"seed_hi", static_cast<double>(seed >> 32)},
+        {"seed_lo", static_cast<double>(seed & 0xffffffffu)},
+        {"n", static_cast<double>(cfg.n)},
+        {"steps", static_cast<double>(result.steps)},
+        {"events", static_cast<double>(log.total_events())},
+        {"terminated", static_cast<double>(result.terminated_count())},
+        {"crashed", static_cast<double>(result.fate_count(NodeFate::crashed))},
+        {"completed", result.completed ? 1.0 : 0.0},
+        {"certified", verdict.ok() ? 1.0 : 0.0},
+        {"proper", proper ? 1.0 : 0.0},
+        {"wall_us", static_cast<double>(trial_watch.elapsed_us())}};
+    for (const auto& [name, value] : row)
+      options.metrics->gauge(key + name).set(value);
+  }
+  if (options.metrics != nullptr && telemetry.enabled) {
+    // Post-mortem shm harvest → campaign-wide node aggregates.  The
+    // slots were read AFTER teardown, so SIGKILLed nodes' counts up
+    // to the kill instant are included.
+    obs::Registry& reg = *options.metrics;
+    std::uint64_t dropped = 0;
+    for (const obs::SlotSnapshot& slot : telemetry.slots) {
+      for (std::uint32_t c = 0; c < obs::kSlotCounters; ++c)
+        if (slot.counters[c] != 0)
+          reg.counter(std::string("dist.node.") + kNodeCounterNames[c])
+              .inc(slot.counters[c]);
+      reg.histogram("dist.node.activation_ns")
+          .merge_buckets(slot.hist_buckets[obs::kSlotHistActivationNs],
+                         slot.hist_sums[obs::kSlotHistActivationNs]);
+      reg.histogram("dist.node.read_ns")
+          .merge_buckets(slot.hist_buckets[obs::kSlotHistReadNs],
+                         slot.hist_sums[obs::kSlotHistReadNs]);
+      dropped += slot.spans_written - slot.spans.size();
+    }
+    if (dropped != 0) reg.counter("dist.node.spans_dropped").inc(dropped);
+  }
+  if (options.trace != nullptr && telemetry.enabled) {
+    // Merge this trial's harvested span tracks into the campaign
+    // trace: one process lane per trial, one thread lane per node.
+    obs::TraceSink& sink = *options.trace;
+    const std::uint64_t pid = trial + 1;
+    sink.process_name(
+        pid, "trial " + std::to_string(trial) + " algo=" + cfg.algo + " " +
+                 cfg.graph_kind + " n=" + std::to_string(cfg.n) +
+                 " faults=[" +
+                 (cfg.fault_desc.empty() ? "" : cfg.fault_desc.substr(1)) +
+                 "]");
+    const auto to_us = [&](std::uint64_t ns) {
+      return trial_offset_us + ns / 1000;
+    };
+    for (NodeId v = 0; v < telemetry.slots.size(); ++v) {
+      sink.thread_name(pid, v,
+                       "node " + std::to_string(v) + " id=" +
+                           std::to_string(cfg.ids[v]));
+      for (const obs::ShmSpanRecord& span : telemetry.slots[v].spans) {
+        std::string name;
+        std::string cat;
+        switch (span.kind) {
+          case obs::kShmSpanActivation:
+            name = "activation r" + std::to_string(span.aux);
+            cat = "dist.act";
+            break;
+          case obs::kShmSpanPublish:
+            name = "publish r" + std::to_string(span.aux);
+            cat = "dist.pub";
+            break;
+          case obs::kShmSpanRead:
+            name = "read n" + std::to_string(span.aux);
+            cat = "dist.read";
+            break;
+          default:
+            name = "span kind=" + std::to_string(span.kind);
+            cat = "dist";
+            break;
+        }
+        const std::uint64_t dur_us =
+            span.end_ns > span.start_ns ? (span.end_ns - span.start_ns +
+                                           999) / 1000
+                                        : 1;
+        sink.complete_on(pid, v, name, cat, to_us(span.start_ns), dur_us);
+      }
+    }
+    for (const DistFaultMarker& marker : telemetry.markers)
+      sink.instant_on(pid, marker.node, marker.label, "dist.fault",
+                      to_us(marker.at_ns));
+  }
 
   std::ostringstream os;
-  os << "ftcc-dist report v1\n";
-  os << "seed=" << options.seed << " trials=" << options.trials << " n=["
-     << options.n_min << "," << options.n_max << "] algos=";
-  for (std::size_t i = 0; i < algos.size(); ++i)
-    os << (i ? "," : "") << algos[i];
-  os << " inject=" << dist_fault_mode_name(options.inject)
-     << " overlap=" << (options.overlap ? 1 : 0)
-     << " max_read_attempts=" << options.max_read_attempts << "\n";
+  os << "trial " << trial << " algo=" << cfg.algo
+     << " graph=" << cfg.graph_kind << " n=" << cfg.n
+     << " ids=" << cfg.ids_family << " wrapped=" << (cfg.wrapped ? 1 : 0)
+     << " sched=" << cfg.sched_name << " faults=["
+     << (cfg.fault_desc.empty() ? "" : cfg.fault_desc.substr(1)) << "] -> "
+     << (result.completed ? "completed" : "partial")
+     << " terminated=" << result.terminated_count() << "/" << cfg.n
+     << " crashed=" << result.fate_count(NodeFate::crashed)
+     << " steps=" << result.steps << " proper=" << (proper ? 1 : 0) << " "
+     << (verdict.ok() ? (verdict.atomic ? "certified atomic"
+                                        : "certified split")
+                      : "CERTIFY-FAIL")
+     << " digest=" << digest << "\n";
 
-  struct {
-    obs::Counter* trials = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* certified = nullptr;
-    obs::Counter* violations = nullptr;
-    obs::Counter* failures = nullptr;
-    obs::Counter* crashes = nullptr;
-    obs::Histogram* steps = nullptr;
-    obs::Histogram* events = nullptr;
-    obs::Histogram* trial_us = nullptr;
-    obs::Gauge* trials_per_sec = nullptr;
-  } m;
-  if (options.metrics != nullptr) {
-    obs::Registry& reg = *options.metrics;
-    m.trials = &reg.counter("dist.trials");
-    m.completed = &reg.counter("dist.trials.completed");
-    m.certified = &reg.counter("dist.trials.certified");
-    m.violations = &reg.counter("dist.trials.violations");
-    m.failures = &reg.counter("dist.trials.failures");
-    m.crashes = &reg.counter("dist.nodes.crashed");
-    m.steps = &reg.histogram("dist.steps");
-    m.events = &reg.histogram("dist.events");
-    m.trial_us = &reg.histogram("dist.trial_us");
-    m.trials_per_sec = &reg.gauge("dist.trials_per_sec");
+  EventLogArtifact artifact;
+  artifact.algo = cfg.algo;
+  artifact.graph_kind = cfg.graph_kind;
+  artifact.n = cfg.n;
+  artifact.ids = cfg.ids;
+  artifact.wrapped = cfg.wrapped;
+  artifact.max_read_attempts = options.max_read_attempts;
+  artifact.log = log;
+  artifact.seed = options.seed;
+
+  std::string failure_verdict;
+  if (!runtime_error.empty()) {
+    failure_verdict = "[runtime] " + runtime_error;
+  } else if (!proper) {
+    failure_verdict = "[invariant] improper partial coloring";
+  } else if (!verdict.ok()) {
+    const auto& first = verdict.violations.front();
+    failure_verdict = "[" + first.kind + "] " + first.message;
   }
-  obs::Stopwatch campaign_watch;
-  const std::uint64_t progress_every =
-      std::max<std::uint64_t>(options.progress_every, 1);
-
-  // Sub-seeds pre-drawn in trial order, exactly like run_campaign, so
-  // the trial stream is stable under any future change to trial count.
-  std::vector<std::uint64_t> seeds(options.trials);
-  Xoshiro256 master(options.seed);
-  for (auto& s : seeds) s = master();
-
-  DistCampaignReport report;
-  std::uint64_t ok_trials = 0;
-  std::uint64_t crashed_nodes = 0;
-  for (std::uint64_t trial = 0; trial < options.trials; ++trial) {
-    obs::Stopwatch trial_watch;
-    DistTrial cfg = generate_dist_trial(algos, options.n_min, options.n_max,
-                                        seeds[trial], options.inject);
-    const Graph graph =
-        cfg.graph_kind == "path" ? make_path(cfg.n) : make_cycle(cfg.n);
-
-    DistOptions dopts;
-    dopts.max_read_attempts = options.max_read_attempts;
-    dopts.overlap = options.overlap;
-    dopts.torn_crash = cfg.torn_crash;
-
-    // Position this trial's harvested spans on the merged timeline:
-    // slot timestamps are ns since the region epoch, and the region is
-    // created (just) inside ex.run, so "sink time at trial start" is
-    // the right additive offset.
-    const std::uint64_t trial_offset_us =
-        options.trace != nullptr ? options.trace->now_us() : 0;
-
-    HbLog log;
-    DistTelemetry telemetry;
-    const bool want_telemetry =
-        options.metrics != nullptr || options.trace != nullptr;
-    ExecutionResult<std::uint64_t> result;
-    std::string runtime_error;
-    const CertifyReport verdict = with_campaign_algorithm(
-        cfg.algo, cfg.wrapped,
-        [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
-          DistExecutor<decltype(algo)> ex(algo, graph, cfg.ids, cfg.plan,
-                                          dopts);
-          ex.attach_hb_log(&log);
-          if (want_telemetry) ex.attach_telemetry(&telemetry);
-          result = ex.run(*cfg.sched, options.max_steps);
-          runtime_error = ex.error();
-          return certify_log(algo, graph, cfg.ids, log);
-        });
-
-    PartialColoring colors(cfg.n);
-    for (NodeId v = 0; v < cfg.n; ++v)
-      if (result.outputs[v]) colors[v] = *result.outputs[v];
-    const bool proper = is_proper_partial(graph, colors);
-    const std::uint64_t digest = decisions_digest(trial, result);
-    report.decisions_digest ^= digest;
-
-    ++report.trials;
-    if (result.completed) ++report.completed;
-    if (verdict.ok()) ++report.certified;
-    if (!proper) ++report.violations;
-    crashed_nodes += result.fate_count(NodeFate::crashed);
-    if (m.trials) {
-      m.trials->inc();
-      if (result.completed) m.completed->inc();
-      if (verdict.ok()) m.certified->inc();
-      if (!proper) m.violations->inc();
-      m.crashes->inc(result.fate_count(NodeFate::crashed));
-      m.steps->observe(result.steps);
-      m.events->observe(log.total_events());
-      m.trial_us->observe(trial_watch.elapsed_us());
-    }
-    if (options.metrics != nullptr) {
-      // Per-trial metric row (gauges share the trial.NNNNN prefix):
-      // enough for `tools/report diff` to localize a regression to one
-      // trial and re-run it by seed.  The 64-bit seed is split into two
-      // 32-bit halves because gauge values are doubles.
-      obs::Registry& reg = *options.metrics;
-      const std::string key = trial_key(trial);
-      reg.gauge(key + ".seed_hi")
-          .set(static_cast<double>(seeds[trial] >> 32));
-      reg.gauge(key + ".seed_lo")
-          .set(static_cast<double>(seeds[trial] & 0xffffffffu));
-      reg.gauge(key + ".n").set(static_cast<double>(cfg.n));
-      reg.gauge(key + ".steps").set(static_cast<double>(result.steps));
-      reg.gauge(key + ".events")
-          .set(static_cast<double>(log.total_events()));
-      reg.gauge(key + ".terminated")
-          .set(static_cast<double>(result.terminated_count()));
-      reg.gauge(key + ".crashed")
-          .set(static_cast<double>(result.fate_count(NodeFate::crashed)));
-      reg.gauge(key + ".completed").set(result.completed ? 1.0 : 0.0);
-      reg.gauge(key + ".certified").set(verdict.ok() ? 1.0 : 0.0);
-      reg.gauge(key + ".proper").set(proper ? 1.0 : 0.0);
-      reg.gauge(key + ".wall_us")
-          .set(static_cast<double>(trial_watch.elapsed_us()));
-    }
-    if (options.metrics != nullptr && telemetry.enabled) {
-      // Post-mortem shm harvest → campaign-wide node aggregates.  The
-      // slots were read AFTER teardown, so SIGKILLed nodes' counts up
-      // to the kill instant are included.
-      obs::Registry& reg = *options.metrics;
-      std::uint64_t dropped = 0;
-      for (const obs::SlotSnapshot& slot : telemetry.slots) {
-        for (std::uint32_t c = 0; c < obs::kSlotCounters; ++c)
-          if (slot.counters[c] != 0)
-            reg.counter(std::string("dist.node.") + kNodeCounterNames[c])
-                .inc(slot.counters[c]);
-        reg.histogram("dist.node.activation_ns")
-            .merge_buckets(slot.hist_buckets[obs::kSlotHistActivationNs],
-                           slot.hist_sums[obs::kSlotHistActivationNs]);
-        reg.histogram("dist.node.read_ns")
-            .merge_buckets(slot.hist_buckets[obs::kSlotHistReadNs],
-                           slot.hist_sums[obs::kSlotHistReadNs]);
-        dropped += slot.spans_written - slot.spans.size();
-      }
-      if (dropped != 0) reg.counter("dist.node.spans_dropped").inc(dropped);
-    }
-    if (options.trace != nullptr && telemetry.enabled) {
-      // Merge this trial's harvested span tracks into the campaign
-      // trace: one process lane per trial, one thread lane per node.
-      obs::TraceSink& sink = *options.trace;
-      const std::uint64_t pid = trial + 1;
-      sink.process_name(
-          pid, "trial " + std::to_string(trial) + " algo=" + cfg.algo + " " +
-                   cfg.graph_kind + " n=" + std::to_string(cfg.n) +
-                   " faults=[" +
-                   (cfg.fault_desc.empty() ? "" : cfg.fault_desc.substr(1)) +
-                   "]");
-      const auto to_us = [&](std::uint64_t ns) {
-        return trial_offset_us + ns / 1000;
-      };
-      for (NodeId v = 0; v < telemetry.slots.size(); ++v) {
-        sink.thread_name(pid, v,
-                         "node " + std::to_string(v) + " id=" +
-                             std::to_string(cfg.ids[v]));
-        for (const obs::ShmSpanRecord& span : telemetry.slots[v].spans) {
-          std::string name;
-          std::string cat;
-          switch (span.kind) {
-            case obs::kShmSpanActivation:
-              name = "activation r" + std::to_string(span.aux);
-              cat = "dist.act";
-              break;
-            case obs::kShmSpanPublish:
-              name = "publish r" + std::to_string(span.aux);
-              cat = "dist.pub";
-              break;
-            case obs::kShmSpanRead:
-              name = "read n" + std::to_string(span.aux);
-              cat = "dist.read";
-              break;
-            default:
-              name = "span kind=" + std::to_string(span.kind);
-              cat = "dist";
-              break;
-          }
-          const std::uint64_t dur_us =
-              span.end_ns > span.start_ns ? (span.end_ns - span.start_ns +
-                                             999) / 1000
-                                          : 1;
-          sink.complete_on(pid, v, name, cat, to_us(span.start_ns), dur_us);
-        }
-      }
-      for (const DistFaultMarker& marker : telemetry.markers)
-        sink.instant_on(pid, marker.node, marker.label, "dist.fault",
-                        to_us(marker.at_ns));
-    }
-
-    os << "trial " << trial << " algo=" << cfg.algo
-       << " graph=" << cfg.graph_kind << " n=" << cfg.n
-       << " ids=" << cfg.ids_family << " wrapped=" << (cfg.wrapped ? 1 : 0)
-       << " sched=" << cfg.sched_name << " faults=["
-       << (cfg.fault_desc.empty() ? "" : cfg.fault_desc.substr(1)) << "] -> "
-       << (result.completed ? "completed" : "partial")
-       << " terminated=" << result.terminated_count() << "/" << cfg.n
-       << " crashed=" << result.fate_count(NodeFate::crashed)
-       << " steps=" << result.steps << " proper=" << (proper ? 1 : 0) << " "
-       << (verdict.ok() ? (verdict.atomic ? "certified atomic"
-                                          : "certified split")
-                        : "CERTIFY-FAIL")
-       << " digest=" << digest << "\n";
-
-    EventLogArtifact artifact;
-    artifact.algo = cfg.algo;
-    artifact.graph_kind = cfg.graph_kind;
-    artifact.n = cfg.n;
-    artifact.ids = cfg.ids;
-    artifact.wrapped = cfg.wrapped;
-    artifact.max_read_attempts = options.max_read_attempts;
-    artifact.log = log;
-    artifact.seed = options.seed;
-
-    std::string failure_verdict;
-    if (!runtime_error.empty()) {
-      failure_verdict = "[runtime] " + runtime_error;
-    } else if (!proper) {
-      failure_verdict = "[invariant] improper partial coloring";
-    } else if (!verdict.ok()) {
-      const auto& first = verdict.violations.front();
-      failure_verdict = "[" + first.kind + "] " + first.message;
-    }
-    if (!failure_verdict.empty()) {
-      DistCampaignFailure failure;
-      failure.trial = trial;
-      failure.verdict = failure_verdict;
-      artifact.verdict = failure_verdict;
-      failure.artifact = artifact;
-      if (!options.artifact_dir.empty()) {
-        failure.path = options.artifact_dir + "/dist-" +
-                       std::to_string(trial) + ".eventlog";
-        if (save_event_log(failure.path, failure.artifact)) {
-          os << "witness trial " << trial << ": " << failure.path << "\n";
-        } else {
-          os << "warning trial " << trial << ": could not save witness to "
-             << failure.path << "\n";
-          failure.path.clear();
-        }
-      }
-      if (m.failures) m.failures->inc();
-      os << "FAIL trial " << trial << " " << failure_verdict << "\n";
-      report.failures.push_back(std::move(failure));
-    } else {
-      ++ok_trials;
-    }
-    if (!options.log_dir.empty()) {
-      const std::string path =
-          options.log_dir + "/trial-" + std::to_string(trial) + ".eventlog";
-      if (!save_event_log(path, artifact))
-        os << "warning trial " << trial << ": could not save log to " << path
-           << "\n";
-    }
-    if (options.on_progress &&
-        ((trial + 1) % progress_every == 0 || trial + 1 == options.trials)) {
-      DistCampaignProgress progress;
-      progress.done = trial + 1;
-      progress.total = options.trials;
-      progress.ok = ok_trials;
-      progress.failures = report.failures.size();
-      progress.completed = report.completed;
-      progress.certified = report.certified;
-      progress.violations = report.violations;
-      progress.crashed_nodes = crashed_nodes;
-      options.on_progress(progress);
-    }
+  if (!failure_verdict.empty()) {
+    DistCampaignFailure failure;
+    failure.trial = trial;
+    failure.verdict = failure_verdict;
+    artifact.verdict = failure_verdict;
+    failure.artifact = artifact;
+    if (!options.artifact_dir.empty())
+      os << save_witness(failure, options.artifact_dir);
+    os << "FAIL trial " << trial << " " << failure_verdict << "\n";
+    outcome.outcome = TrialTally::Outcome::failed;
+    outcome.failure = std::move(failure);
   }
-
-  if (m.trials_per_sec) {
-    const std::uint64_t campaign_us = campaign_watch.elapsed_us();
-    if (campaign_us > 0)
-      m.trials_per_sec->set(static_cast<double>(report.trials) * 1e6 /
-                            static_cast<double>(campaign_us));
+  if (!options.log_dir.empty()) {
+    const std::string path =
+        options.log_dir + "/trial-" + std::to_string(trial) + ".eventlog";
+    if (!save_event_log(path, artifact))
+      os << "warning trial " << trial << ": could not save log to " << path
+         << "\n";
   }
-  os << "summary trials=" << report.trials << " completed=" << report.completed
-     << " certified=" << report.certified
-     << " violations=" << report.violations
-     << " failures=" << report.failures.size()
-     << " digest=" << report.decisions_digest << "\n";
-  report.text = os.str();
-  return report;
+  outcome.text = os.str();
+  return outcome;
 }
 
-bool persist_dist_witnesses(DistCampaignReport& report,
-                            const std::string& fallback_dir,
-                            std::vector<std::string>& lines,
-                            std::string* error) {
-  bool created = false;
-  for (DistCampaignFailure& failure : report.failures) {
-    if (!failure.path.empty()) continue;
-    if (!created) {
-      std::error_code ec;
-      std::filesystem::create_directories(fallback_dir, ec);
-      if (ec) {
-        if (error)
-          *error = "cannot create witness directory '" + fallback_dir +
-                   "': " + ec.message();
-        return false;
-      }
-      created = true;
-    }
-    failure.path = fallback_dir + "/dist-" + std::to_string(failure.trial) +
-                   ".eventlog";
-    if (!save_event_log(failure.path, failure.artifact)) {
-      if (error) *error = "cannot write witness '" + failure.path + "'";
-      failure.path.clear();
-      return false;
-    }
-    lines.push_back("witness trial " + std::to_string(failure.trial) + ": " +
-                    failure.path);
+}  // namespace
+
+DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
+  DistBackend backend{options, options.resolve_algos(campaign_algorithms())};
+  if (options.metrics != nullptr) {
+    backend.steps = &options.metrics->histogram("dist.steps");
+    backend.events = &options.metrics->histogram("dist.events");
   }
-  return true;
+  if (!options.log_dir.empty()) {
+    std::error_code ignored;
+    std::filesystem::create_directories(options.log_dir, ignored);
+  }
+
+  CampaignPacing pacing;
+  pacing.progress_every = options.progress_every;
+  if (options.on_progress)
+    pacing.on_progress = [&](const CampaignProgress& p) {
+      const DistCampaignReport& t = backend.tally;
+      options.on_progress(
+          {p, t.completed, t.certified, t.violations, backend.crashed_nodes});
+    };
+  std::ostringstream header;
+  header << "ftcc-dist report v1\n"
+         << options.header_fields(backend.algos)
+         << " inject=" << dist_fault_mode_name(options.inject)
+         << " overlap=" << (options.overlap ? 1 : 0)
+         << " max_read_attempts=" << options.max_read_attempts << "\n";
+  CampaignRun<DistCampaignFailure> run =
+      run_trials(backend, options, pacing, header.str());
+
+  DistCampaignReport report = std::move(backend.tally);
+  report.trials = run.trials;
+  report.failures = std::move(run.failures);
+  report.text = std::move(run.text);
+  std::ostringstream summary;
+  summary << "summary trials=" << report.trials
+          << " completed=" << report.completed
+          << " certified=" << report.certified
+          << " violations=" << report.violations
+          << " failures=" << report.failures.size()
+          << " digest=" << report.decisions_digest << "\n";
+  report.text += summary.str();
+  if (options.metrics != nullptr) {
+    obs::Registry& reg = *options.metrics;
+    reg.counter("dist.trials.completed").inc(report.completed);
+    reg.counter("dist.trials.certified").inc(report.certified);
+    reg.counter("dist.trials.violations").inc(report.violations);
+    reg.counter("dist.nodes.crashed").inc(backend.crashed_nodes);
+  }
+  return report;
 }
 
 }  // namespace ftcc::dist

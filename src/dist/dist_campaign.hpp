@@ -11,7 +11,8 @@
 // fork()s, and forking from a multi-threaded process is undefined
 // enough in practice (only the calling thread survives; locks held by
 // the others stay locked forever in the child) that trials run strictly
-// sequentially in the supervisor process.
+// sequentially in the supervisor process — the campaign core
+// (runtime/campaign.hpp) runs this backend inline.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,7 @@
 #include "analysis/hb/event_log.hpp"
 #include "fuzz/campaign.hpp"
 #include "graph/graph.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "runtime/campaign.hpp"
 
 namespace ftcc::dist {
 
@@ -54,24 +54,27 @@ enum class DistFaultMode : std::uint8_t {
 /// generic CampaignProgress fields plus the dist-specific verdict
 /// counters, so `tools/dist --follow` can stream certify pass rates
 /// without waiting for the final report.
-struct DistCampaignProgress {
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t failures = 0;
+struct DistCampaignProgress : CampaignProgress {
   std::uint64_t completed = 0;      ///< trials where every node resolved
   std::uint64_t certified = 0;      ///< trials the HB certifier accepted
   std::uint64_t violations = 0;     ///< improper colorings so far
   std::uint64_t crashed_nodes = 0;  ///< SIGKILLed node processes so far
 };
 
-struct DistCampaignOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 100;
-  NodeId n_min = 3;
-  NodeId n_max = 8;
-  /// Subset of campaign_algorithms(); empty = all five.
-  std::vector<std::string> algos;
+/// A multi-process campaign: the shared CampaignSpec (runtime/campaign.hpp)
+/// plus the dist knobs.  There is no CampaignPacing: trials always run
+/// inline (see the file comment), so there is no `jobs`, and progress
+/// carries the dist verdict counters.  `trace`, when set, receives the
+/// per-trial `dist.trial` spans and every trial's crash-surviving shm
+/// telemetry (harvested from the obs::ShmMetricsRegion after teardown,
+/// SIGKILLs included), merged into one Chrome trace: pid = trial + 1,
+/// tid = node.
+struct DistCampaignOptions : CampaignSpec {
+  DistCampaignOptions() {
+    trials = 100;
+    n_min = 3;
+    n_max = 8;
+  }
   /// Directory for failure witnesses; empty = keep them in memory only.
   std::string artifact_dir;
   /// When set, save EVERY trial's event log here as trial-<N>.eventlog
@@ -83,11 +86,6 @@ struct DistCampaignOptions {
   /// Overlapped activation delivery (real races; decisions stay checked
   /// but per-trial reports are no longer byte-reproducible).
   bool overlap = false;
-  obs::Registry* metrics = nullptr;
-  /// When set, every trial's crash-surviving shm telemetry (harvested
-  /// from the obs::ShmMetricsRegion after teardown, SIGKILLs included)
-  /// is merged into one Chrome trace: pid = trial + 1, tid = node.
-  obs::TraceSink* trace = nullptr;
   std::function<void(const DistCampaignProgress&)> on_progress;
   std::uint64_t progress_every = 100;
 };
@@ -99,6 +97,11 @@ struct DistCampaignFailure {
   std::string verdict;
   std::string path;  ///< witness file; empty if artifact_dir unset
   EventLogArtifact artifact;
+
+  static constexpr WitnessFile kWitness{"dist", ".eventlog", "witness"};
+  [[nodiscard]] bool save(const std::string& to) const {
+    return save_event_log(to, artifact);
+  }
 };
 
 struct DistCampaignReport {
@@ -116,14 +119,5 @@ struct DistCampaignReport {
 
 [[nodiscard]] DistCampaignReport run_dist_campaign(
     const DistCampaignOptions& options);
-
-/// Ensure every failure has an on-disk witness; failures whose path is
-/// still empty are saved into `fallback_dir` (created if needed).  On an
-/// unwritable destination, stops and reports via `error` (false return)
-/// instead of aborting — campaigns must not die on a full disk.
-[[nodiscard]] bool persist_dist_witnesses(DistCampaignReport& report,
-                                          const std::string& fallback_dir,
-                                          std::vector<std::string>& lines,
-                                          std::string* error);
 
 }  // namespace ftcc::dist

@@ -10,18 +10,18 @@
 // RecordingScheduler with every applicable invariant monitor from
 // src/analysis installed; a violation yields a ScheduleArtifact that is
 // delta-debugged down to a minimal replayable witness and written to disk.
-// Two campaigns with the same options produce byte-identical reports.
+// The trial loop itself is the shared campaign core (runtime/campaign.hpp),
+// so two campaigns with the same options produce byte-identical reports
+// for any worker count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "fuzz/schedule_io.hpp"
 #include "fuzz/shrink.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "runtime/campaign.hpp"
 
 namespace ftcc {
 
@@ -54,29 +54,12 @@ enum class FaultMode {
   return "?";
 }
 
-/// Running tallies handed to CampaignOptions::on_progress.
-struct CampaignProgress {
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t censored = 0;
-  std::uint64_t failures = 0;
-};
-
-struct CampaignOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 200;
-  /// Worker threads (runtime/worker_pool.hpp).  1 = the sequential loop,
-  /// inline on the caller.  Any value yields byte-identical reports and
-  /// identical shrunk witnesses: trial sub-seeds are pre-drawn from the
-  /// master stream in trial order, every trial writes its own report
-  /// chunk and failure slot, and the merge concatenates in trial order
-  /// (the determinism contract tests/fuzz_parallel_test.cpp pins).
-  unsigned jobs = 1;
-  NodeId n_min = 4;
-  NodeId n_max = 24;
-  /// Subset of campaign_algorithms(); empty = all five.
-  std::vector<std::string> algos;
+/// A schedule campaign: the shared CampaignSpec (seed, trials, n range,
+/// algos, metrics, trace) and CampaignPacing (jobs, progress) plus the
+/// schedule-specific knobs.  Any `jobs` value yields byte-identical
+/// reports and identical shrunk witnesses (runtime/campaign.hpp; the
+/// contract tests/fuzz_parallel_test.cpp pins).
+struct CampaignOptions : CampaignSpec, CampaignPacing {
   /// Directory for failure artifacts; empty = keep them in memory only.
   std::string artifact_dir;
   bool shrink = true;
@@ -90,16 +73,6 @@ struct CampaignOptions {
   bool wrap = false;
   /// Predicate-evaluation budget per shrink (each check is a replay).
   std::uint64_t shrink_checks = 20'000;
-  /// Observability (DESIGN.md §9), all optional.  Metrics and trace spans
-  /// record what the campaign did — they never feed a decision, and the
-  /// deterministic report text stays byte-identical whether or not they
-  /// are attached.  Both must outlive run_campaign().
-  obs::Registry* metrics = nullptr;
-  obs::TraceSink* trace = nullptr;
-  /// Called after every `progress_every`-th trial and after the last one
-  /// (tools/fuzz uses this for its TTY progress line).
-  std::function<void(const CampaignProgress&)> on_progress;
-  std::uint64_t progress_every = 500;
 };
 
 struct CampaignFailure {
@@ -111,17 +84,16 @@ struct CampaignFailure {
   ShrinkResult shrink;
   /// Where the (shrunk) artifact was saved; empty if artifact_dir unset.
   std::string path;
+
+  static constexpr WitnessFile kWitness{"fail", ".sched", "artifact"};
+  [[nodiscard]] bool save(const std::string& to) const {
+    return save_schedule(to, shrink.artifact);
+  }
 };
 
-struct CampaignReport {
-  std::uint64_t trials = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t censored = 0;  ///< budget exhausted without violation
-  std::vector<CampaignFailure> failures;
-  /// The full deterministic text report (header, one line per trial,
-  /// shrink lines, summary) — byte-identical for identical options.
-  std::string text;
-};
+/// The full deterministic report: text is the header, one line per trial,
+/// shrink lines, and the summary — byte-identical for identical options.
+using CampaignReport = CampaignRun<CampaignFailure>;
 
 /// Algorithm names the campaign understands:
 /// "six" (Algorithm 1), "five" (Algorithm 2), "fast5" (Algorithm 3),
@@ -139,14 +111,5 @@ struct CampaignReport {
     InjectedFault inject = InjectedFault::none);
 
 [[nodiscard]] CampaignReport run_campaign(const CampaignOptions& options);
-
-/// Ensure every failure has an on-disk replay artifact: failures whose
-/// path is still empty (the campaign ran without an artifact_dir) are
-/// saved into `fallback_dir`, which is created if needed.  Returns one
-/// "artifact trial N: path" line per newly saved artifact — tools/fuzz
-/// prints these so a failing run always names its replay files, even when
-/// --out was never passed (e.g. `--inject=corrupt --raw` demos).
-[[nodiscard]] std::vector<std::string> persist_failure_artifacts(
-    CampaignReport& report, const std::string& fallback_dir);
 
 }  // namespace ftcc

@@ -12,32 +12,30 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "analysis/hb/certify.hpp"
 #include "analysis/hb/event_log.hpp"
 #include "fuzz/campaign.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "runtime/campaign.hpp"
 
 namespace ftcc {
 
-struct CertifyCampaignOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 100;
-  /// Worker threads running whole trials concurrently (each trial already
-  /// spawns its own node threads — this multiplies them, which is the
-  /// point: more cross-trial scheduler pressure per wall-clock second).
-  /// Trial configurations stay seed-deterministic for any value; the text
-  /// report was never byte-deterministic (the OS interleaving decides
-  /// rounds/atomicity), so parallel certify trades nothing away.
-  unsigned jobs = 1;
-  NodeId n_min = 3;
-  NodeId n_max = 10;
-  /// Subset of campaign_algorithms(); empty = all five.
-  std::vector<std::string> algos;
+/// A certify campaign: CampaignSpec + CampaignPacing (runtime/campaign.hpp)
+/// plus the threaded knobs.  Worker threads run whole trials concurrently
+/// (each trial already spawns its own node threads — this multiplies them,
+/// which is the point: more cross-trial scheduler pressure per wall-clock
+/// second).  Trial configurations stay seed-deterministic for any `jobs`;
+/// the text report was never byte-deterministic (the OS interleaving
+/// decides rounds/atomicity), so parallel certify trades nothing away.
+/// CampaignProgress::censored stays 0: threaded trials never censor.
+struct CertifyCampaignOptions : CampaignSpec, CampaignPacing {
+  CertifyCampaignOptions() {
+    trials = 100;
+    n_min = 3;
+    n_max = 10;
+  }
   /// Directory for failure witnesses; empty = keep them in memory only.
   std::string artifact_dir;
   /// Draw threaded publish-point faults (corrupt_words / stall_mid_publish)
@@ -52,15 +50,6 @@ struct CertifyCampaignOptions {
   std::uint64_t max_read_attempts = std::uint64_t{1} << 16;
   /// Per-node round cutoff (probabilistic-termination tail guard).
   std::uint64_t max_rounds = 4096;
-  /// Observability (DESIGN.md §9), all optional and decision-free: trial
-  /// and certifier-stage timings, ThreadedExecutor counters, and Chrome
-  /// trace spans.  Both must outlive run_certify_campaign().
-  obs::Registry* metrics = nullptr;
-  obs::TraceSink* trace = nullptr;
-  /// Called after every `progress_every`-th trial and after the last one
-  /// (CampaignProgress::censored stays 0: threaded trials never censor).
-  std::function<void(const CampaignProgress&)> on_progress;
-  std::uint64_t progress_every = 500;
 };
 
 struct CertifyCampaignFailure {
@@ -69,6 +58,11 @@ struct CertifyCampaignFailure {
   /// Where the witness was saved; empty if artifact_dir unset.
   std::string path;
   EventLogArtifact artifact;
+
+  static constexpr WitnessFile kWitness{"race", ".eventlog", "witness"};
+  [[nodiscard]] bool save(const std::string& to) const {
+    return save_event_log(to, artifact);
+  }
 };
 
 struct CertifyCampaignReport {
@@ -88,11 +82,5 @@ struct CertifyCampaignReport {
 
 [[nodiscard]] CertifyCampaignReport run_certify_campaign(
     const CertifyCampaignOptions& options);
-
-/// Ensure every certification failure has an on-disk witness: failures
-/// whose path is still empty are saved into `fallback_dir` (created if
-/// needed).  Returns one "witness trial N: path" line per saved file.
-[[nodiscard]] std::vector<std::string> persist_certify_witnesses(
-    CertifyCampaignReport& report, const std::string& fallback_dir);
 
 }  // namespace ftcc

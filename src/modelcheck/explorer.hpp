@@ -272,34 +272,31 @@ class ModelChecker {
 
   [[nodiscard]] ModelCheckResult run();
 
-  /// Deterministic parallel exploration; jobs <= 1 delegates to run().
+  /// The parallel, reduced explorer (DESIGN.md §10, §11) — the one
+  /// alternative to the reference run().
   ///
   /// A level-synchronised BFS discovers the configuration graph: workers
   /// expand the frontier in parallel (pure apply() calls plus read-only
   /// probes of the hash-striped visited set), then a single-threaded merge
   /// interns new configurations in (frontier, mask) order, so indices and
-  /// per-config edge lists come out identical for every worker count.  A
-  /// sequential DFS replay over the stored edges then walks exactly the
-  /// traversal run() performs — same check order, same first-livelock
-  /// witness, same finish-order DP — so on completed runs every field of
-  /// the result equals run()'s (tests/modelcheck_parallel_test.cpp pins
-  /// this).  Budget-exceeded runs are still deterministic for any jobs,
-  /// but their partial tallies may differ from run()'s partial tallies;
-  /// both report completed = false.
-  [[nodiscard]] ModelCheckResult run_parallel(unsigned jobs);
-
-  /// The reduced explorer (DESIGN.md §11): the same level-synchronised
-  /// BFS + DFS-replay skeleton as run_parallel(), with the three
-  /// reduction layers of options_.reductions applied.  With all layers
-  /// off it reproduces run_parallel() byte for byte (the differential
-  /// harness pins this); compress changes only the visited-set
-  /// representation (still byte-identical results); commute preserves
-  /// everything except the transition count and the identity of the
-  /// livelock witness; symmetry reports per-orbit configuration counts
-  /// while verdicts, colors, per-node worst cases, and worst-case steps
-  /// still match the unreduced run exactly (witnesses and DP values are
-  /// translated through the stored per-edge permutations).
-  /// run_parallel() dispatches here whenever any layer is enabled.
+  /// per-config edge lists come out identical for every worker count
+  /// (jobs <= 1 runs the same BFS inline).  A sequential DFS replay over
+  /// the stored edges then walks exactly the traversal run() performs —
+  /// same check order, same first-livelock witness, same finish-order DP.
+  /// Budget-exceeded runs are still deterministic for any jobs, but their
+  /// partial tallies may differ from run()'s; both report completed =
+  /// false.
+  ///
+  /// The three reduction layers of options_.reductions apply on top.
+  /// With all layers off, every field of a completed result equals run()'s
+  /// (tests/modelcheck_parallel_test.cpp and the differential harness pin
+  /// this); compress changes only the visited-set representation (still
+  /// byte-identical results); commute preserves everything except the
+  /// transition count and the identity of the livelock witness; symmetry
+  /// reports per-orbit configuration counts while verdicts, colors,
+  /// per-node worst cases, and worst-case steps still match the unreduced
+  /// run exactly (witnesses and DP values are translated through the
+  /// stored per-edge permutations).
   [[nodiscard]] ModelCheckResult run_reduced(unsigned jobs);
 
   /// Run one explicit schedule through the checker's own transition
@@ -685,231 +682,6 @@ ModelCheckResult ModelChecker<A>::run() {
 }
 
 template <Algorithm A>
-ModelCheckResult ModelChecker<A>::run_parallel(unsigned jobs) {
-  if (options_.reductions.any()) return run_reduced(jobs);
-  if (jobs <= 1) return run();
-  ModelCheckResult result;
-  const NodeId n = graph_.node_count();
-
-  struct Edge {
-    std::uint32_t child;
-    std::uint32_t bits;        // completed rounds only (DP accounting)
-    std::uint32_t sigma_bits;  // the full chosen set (witness replay)
-  };
-  std::vector<Config> configs;
-  std::vector<std::vector<Edge>> edges;
-  StripedKeyMap<std::vector<std::uint64_t>, detail::VecHash> index_of;
-  const auto reserve_hint = static_cast<std::size_t>(
-      std::min<std::uint64_t>(options_.max_configs, 65'536));
-  index_of.reserve(reserve_hint);
-  configs.reserve(reserve_hint);
-  {
-    Config root = initial_;
-    index_of.emplace(root.key(), 0);
-    configs.push_back(std::move(root));
-    edges.emplace_back();
-  }
-
-  // ---- Phase 1: level-synchronised BFS discovery of the config graph.
-  // One pending edge per (frontier item, non-empty mask), in mask order —
-  // the slot the sequential merge below drains deterministically.
-  struct Pending {
-    std::optional<std::uint32_t> existing;  // read-only probe hit
-    Config child;                           // populated iff !existing
-    std::vector<std::uint64_t> key;
-    std::uint32_t bits = 0;
-    std::uint32_t sigma_bits = 0;
-  };
-
-  WorkerPool pool(jobs);
-  bool budget_exceeded = false;
-  std::vector<std::uint32_t> frontier{0};
-  while (!frontier.empty() && !budget_exceeded) {
-    // Expansion (parallel): pure transitions plus read-only probes of the
-    // striped visited set — phase discipline, no insert is in flight.
-    std::vector<std::vector<Pending>> expanded(frontier.size());
-    pool.run(frontier.size(), [&](std::size_t item, unsigned /*worker*/) {
-      const Config& c = configs[frontier[item]];
-      const std::vector<NodeId> working = c.working();
-      const auto wsize = static_cast<std::uint32_t>(working.size());
-      const std::uint32_t limit = 1u << wsize;
-      std::vector<Pending>& out = expanded[item];
-      for (std::uint32_t mask = 1; mask < limit;
-           mask = options_.mode == ActivationMode::sets ? mask + 1
-                                                        : mask << 1) {
-        Pending p;
-        std::vector<NodeId> sigma;
-        for (std::uint32_t b = 0; b < wsize; ++b)
-          if (mask & (1u << b)) {
-            const NodeId v = working[b];
-            sigma.push_back(v);
-            p.sigma_bits |= 1u << v;
-            if (options_.atomicity == Atomicity::atomic || c.mid_round[v])
-              p.bits |= 1u << v;
-          }
-        p.child = apply(c, sigma);
-        p.key = p.child.key();
-        p.existing = index_of.find(p.key);
-        if (p.existing) p.child = Config{};  // drop the duplicate's payload
-        out.push_back(std::move(p));
-      }
-      // Fault stage, mirroring run(): after all masks, one budgeted
-      // fault event per working node, in working order.
-      if (options_.fault_mode != McFaultMode::none && c.faults_left > 0) {
-        const bool recovery =
-            options_.fault_mode == McFaultMode::crash_recovery;
-        for (std::uint32_t b = 0; b < wsize; ++b) {
-          Pending p;
-          p.sigma_bits = fault_witness_mark(working[b], recovery);
-          p.child = fault_successor(c, working[b]);
-          p.key = p.child.key();
-          p.existing = index_of.find(p.key);
-          if (p.existing) p.child = Config{};
-          out.push_back(std::move(p));
-        }
-      }
-    });
-
-    // Merge (sequential): intern in (frontier, mask) order, so indices,
-    // edge lists, and the budget cut-off are worker-count independent.
-    std::vector<std::uint32_t> next_frontier;
-    for (std::size_t item = 0;
-         item < expanded.size() && !budget_exceeded; ++item) {
-      const std::uint32_t parent = frontier[item];
-      for (Pending& p : expanded[item]) {
-        std::optional<std::uint32_t> idx = p.existing;
-        if (!idx) idx = index_of.find(p.key);  // interned earlier this merge
-        if (!idx) {
-          if (configs.size() >= options_.max_configs) {
-            budget_exceeded = true;
-            break;
-          }
-          idx = static_cast<std::uint32_t>(configs.size());
-          index_of.emplace(std::move(p.key), *idx);
-          configs.push_back(std::move(p.child));
-          edges.emplace_back();
-          next_frontier.push_back(*idx);
-        }
-        edges[parent].push_back({*idx, p.bits, p.sigma_bits});
-      }
-    }
-    frontier = std::move(next_frontier);
-  }
-
-  // ---- Phase 2: sequential DFS replay over the stored edges.  Edge lists
-  // are in exactly the mask order run() enumerates, so this walk visits,
-  // checks, and finishes configurations in run()'s order — reproducing its
-  // first-livelock witness, tallies, and reverse-topological DP.
-  std::vector<std::uint64_t> colors_used;
-  auto check_config = [&](const Config& c) -> bool {
-    for (NodeId v = 0; v < n; ++v) {
-      if (!c.outputs[v]) continue;
-      const auto code = A::color_code(*c.outputs[v]);
-      if (options_.check_output_properness) {
-        for (NodeId u : graph_.neighbors(v)) {
-          if (u < v || !c.outputs[u]) continue;
-          if (code == A::color_code(*c.outputs[u])) {
-            result.outputs_proper = false;
-            if (!result.safety_violation)
-              result.safety_violation = "improper outputs on edge (" +
-                                        std::to_string(v) + "," +
-                                        std::to_string(u) + ")";
-          }
-        }
-      }
-      bool known = false;
-      for (auto x : colors_used) known |= (x == code);
-      if (!known) colors_used.push_back(code);
-    }
-    if (options_.safety && !result.safety_violation) {
-      if (auto err = options_.safety(c.states, c.registers, c.outputs))
-        result.safety_violation = std::move(err);
-    }
-    return !result.safety_violation.has_value();
-  };
-
-  struct RFrame {
-    std::uint32_t config;
-    std::size_t next_edge;
-    std::uint32_t incoming_bits;  // activation set that entered this frame
-  };
-  std::vector<std::uint8_t> color(configs.size(), 0);
-  std::vector<std::uint8_t> touched(configs.size(), 0);  // run()'s interns
-  std::uint64_t interned = 1;  // the root
-  touched[0] = 1;
-  bool cycle_found = false;
-  std::vector<std::uint32_t> finish_order;
-  std::vector<RFrame> stack;
-  if (check_config(configs[0])) {
-    color[0] = 1;
-    stack.push_back({0, 0, 0});
-  }
-  while (!stack.empty()) {
-    RFrame& f = stack.back();
-    const std::vector<Edge>& out = edges[f.config];
-    if (f.next_edge >= out.size() || result.safety_violation) {
-      if (configs[f.config].working().empty()) ++result.terminal_configs;
-      color[f.config] = 2;
-      finish_order.push_back(f.config);
-      stack.pop_back();
-      continue;
-    }
-    const Edge e = out[f.next_edge];
-    ++f.next_edge;
-    ++result.transitions;
-    if (!touched[e.child]) {
-      touched[e.child] = 1;
-      ++interned;
-    }
-    if (color[e.child] == 0) {
-      if (!check_config(configs[e.child])) continue;
-      color[e.child] = 1;
-      stack.push_back({e.child, 0, e.sigma_bits});
-    } else if (color[e.child] == 1) {
-      if (!cycle_found) {
-        std::size_t ci_pos = 0;
-        while (stack[ci_pos].config != e.child) ++ci_pos;
-        for (std::size_t i = 1; i <= ci_pos; ++i)
-          result.livelock_prefix.push_back(stack[i].incoming_bits);
-        for (std::size_t i = ci_pos + 1; i < stack.size(); ++i)
-          result.livelock_loop.push_back(stack[i].incoming_bits);
-        result.livelock_loop.push_back(e.sigma_bits);
-      }
-      cycle_found = true;  // keep walking to finish counting
-    }
-  }
-
-  result.completed = !budget_exceeded;
-  result.wait_free = !cycle_found && result.completed &&
-                     !result.safety_violation.has_value();
-  result.configs = interned;
-  std::sort(colors_used.begin(), colors_used.end());
-  result.colors_used = std::move(colors_used);
-
-  if (result.wait_free) {
-    std::vector<std::uint64_t> worst(configs.size() * n, 0);
-    std::vector<std::uint64_t> steps(configs.size(), 0);
-    for (const std::uint32_t u : finish_order) {
-      for (const Edge& e : edges[u]) {
-        for (NodeId v = 0; v < n; ++v) {
-          const std::uint64_t cand =
-              worst[static_cast<std::size_t>(e.child) * n + v] +
-              ((e.bits >> v) & 1u);
-          auto& slot = worst[static_cast<std::size_t>(u) * n + v];
-          slot = std::max(slot, cand);
-        }
-        steps[u] = std::max(steps[u], steps[e.child] + 1);
-      }
-    }
-    result.worst_case_activations.assign(n, 0);
-    for (NodeId v = 0; v < n; ++v)
-      result.worst_case_activations[v] = worst[v];  // root is index 0
-    result.worst_case_steps = steps[0];
-  }
-  return result;
-}
-
-template <Algorithm A>
 ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
   ModelCheckResult result;
   const NodeId n = graph_.node_count();
@@ -924,9 +696,10 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
 
   // Per-configuration metadata.  Interior configurations are NOT
   // retained — only the live frontier is materialised (that, plus the
-  // tree-compressed keys, is the memory win over run_parallel).  Check
-  // results are computed once at intern time so Phase 2 can replay
-  // run()'s abort semantics without the configuration payloads.
+  // tree-compressed keys, is the memory win over keeping every
+  // configuration).  Check results are computed once at intern time so
+  // Phase 2 can replay run()'s abort semantics without the configuration
+  // payloads.
   struct REdge {
     std::uint32_t child;
     std::uint32_t bits;        // completed rounds (DP accounting)
@@ -1067,9 +840,10 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
     frontier_cfg.push_back(std::move(root_cfg));
   }
 
-  // ---- Phase 1: level-synchronised BFS, as in run_parallel(), with the
-  // reduction layers applied in expansion and the merge kept sequential
-  // in (frontier item, successor) order for worker-count independence.
+  // ---- Phase 1: level-synchronised BFS (parallel expansion, sequential
+  // merge), with the reduction layers applied in expansion and the merge
+  // kept in (frontier item, successor) order for worker-count
+  // independence.
   struct RPending {
     std::optional<std::uint32_t> existing;
     Config child;  // parent-coordinate payload; permuted at intern if sym
@@ -1215,9 +989,9 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
       sym ? stored_total : (census ? census_set.size() : 0);
 
   // ---- Phase 2: sequential DFS replay over the stored edges, exactly
-  // run_parallel()'s walk, with check data read from the per-config
-  // slots and (under sym) activation sets and DP values translated
-  // through the per-edge permutations.
+  // run()'s walk, with check data read from the per-config slots and
+  // (under sym) activation sets and DP values translated through the
+  // per-edge permutations.
   std::vector<std::uint64_t> colors_used;
   const auto check_at = [&](std::uint32_t idx) -> bool {
     for (std::uint32_t w = colors_off[idx]; w < colors_off[idx + 1]; ++w) {

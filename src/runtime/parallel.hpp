@@ -1,8 +1,9 @@
 // Deterministic-parallelism building blocks (DESIGN.md §10), shared by
-// the fuzz campaigns and the model-check explorer.  They live under
-// src/runtime/ because that is where the concurrency-confinement lint
-// allows atomics and mutexes; everything above consumes them through
-// phase-disciplined APIs that keep results independent of worker count.
+// the campaign core (runtime/campaign.hpp) and the model-check explorer.
+// They live under src/runtime/ because that is where the
+// concurrency-confinement lint allows atomics and mutexes; everything
+// above consumes them through phase-disciplined APIs that keep results
+// independent of worker count.
 //
 //   StripedKeyMap — the explorer's visited set, sharded by hash so the
 //       parallel BFS expansion phase can probe concurrently while the
@@ -108,8 +109,8 @@ class StripedKeyMap {
   std::array<std::unordered_map<Key, std::uint32_t, Hash>, kShards> shards_;
 };
 
-/// Progress snapshot handed to the tally's callback; field-compatible with
-/// the fuzz campaigns' CampaignProgress (runtime cannot depend on fuzz).
+/// Progress snapshot handed to the tally's callback (the campaign core
+/// calls it CampaignProgress, runtime/campaign.hpp).
 struct TallyProgress {
   std::uint64_t done = 0;
   std::uint64_t total = 0;

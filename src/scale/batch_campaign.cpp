@@ -81,13 +81,25 @@ std::optional<std::string> run_pair(const Graph& g, const IdAssignment& ids,
   return compare_results(seq_result, batch_result);
 }
 
-/// One differential trial, fully derived from its sub-seed.  Returns the
-/// deterministic per-trial report line; fills `mismatch` on divergence.
-std::string run_trial(std::uint64_t trial, std::uint64_t sub_seed,
-                      NodeId n_min, NodeId n_max,
-                      const std::vector<std::string>& algos,
-                      std::optional<std::string>& mismatch) {
-  Xoshiro256 rng(sub_seed);
+/// The differential campaign's trial body for the campaign core: one
+/// trial, fully derived from its sub-seed.
+struct DifferentialBackend {
+  using Failure = BatchMismatch;
+  static constexpr const char* kPrefix = "batch.diff";
+  static constexpr bool kParallelSafe = true;
+
+  NodeId n_min;
+  NodeId n_max;
+  std::vector<std::string> algos;
+
+  TrialResult<Failure> trial(std::uint64_t index, std::uint64_t seed,
+                             obs::TraceSink* trace) const;
+};
+
+TrialResult<BatchMismatch> DifferentialBackend::trial(
+    std::uint64_t index, std::uint64_t seed,
+    obs::TraceSink* /*trace*/) const {
+  Xoshiro256 rng(seed);
   const std::string& algo = algos[rng.below(algos.size())];
   NodeId n = n_min + static_cast<NodeId>(rng.below(n_max - n_min + 1));
 
@@ -171,18 +183,22 @@ std::string run_trial(std::uint64_t trial, std::uint64_t sub_seed,
                                    ? 2 + rng.below(n)
                                    : 4 * std::uint64_t{n} + 64;
 
-  if (algo == "fast6")
-    mismatch = run_pair<SixColoringFast>(g, ids, plan, budget);
-  else
-    mismatch = run_pair<DeltaSquaredColoring>(g, ids, plan, budget);
+  const std::optional<std::string> mismatch =
+      algo == "fast6"
+          ? run_pair<SixColoringFast>(g, ids, plan, budget)
+          : run_pair<DeltaSquaredColoring>(g, ids, plan, budget);
 
-  std::string line = "trial " + std::to_string(trial) + " algo=" + algo +
-                     " graph=" + family + " n=" + std::to_string(n) +
-                     " ids=" + ids_name +
-                     " crashes=" + std::to_string(crash_events) +
-                     " budget=" + std::to_string(budget);
-  line += mismatch ? " => MISMATCH " + *mismatch : " => ok";
-  return line;
+  TrialResult<Failure> slot;
+  slot.text = "trial " + std::to_string(index) + " algo=" + algo +
+              " graph=" + family + " n=" + std::to_string(n) +
+              " ids=" + ids_name + " crashes=" + std::to_string(crash_events) +
+              " budget=" + std::to_string(budget) +
+              (mismatch ? " => MISMATCH " + *mismatch : " => ok") + "\n";
+  if (mismatch) {
+    slot.outcome = TrialTally::Outcome::failed;
+    slot.failure = BatchMismatch{index, *mismatch};
+  }
+  return slot;
 }
 
 }  // namespace
@@ -198,49 +214,28 @@ bool known_batch_algorithm(const std::string& name) {
 }
 
 BatchCampaignReport run_batch_campaign(const BatchCampaignOptions& options) {
-  FTCC_EXPECTS(options.n_min >= 3 && options.n_min <= options.n_max);
-  std::vector<std::string> algos = options.algos;
-  if (algos.empty()) algos = batch_algorithms();
-  for (const auto& a : algos) FTCC_EXPECTS(known_batch_algorithm(a));
+  DifferentialBackend backend{options.n_min, options.n_max,
+                              options.resolve_algos(batch_algorithms())};
+  std::string header = "batch differential campaign seed=" +
+                       std::to_string(options.seed) +
+                       " trials=" + std::to_string(options.trials) +
+                       " n=" + std::to_string(options.n_min) + ".." +
+                       std::to_string(options.n_max) + " algos=";
+  for (std::size_t i = 0; i < backend.algos.size(); ++i)
+    header += (i ? "," : "") + backend.algos[i];
+  header += "\n";
+  CampaignRun<BatchMismatch> run =
+      run_trials(backend, options, options, std::move(header));
 
   BatchCampaignReport report;
-  report.trials = options.trials;
-  report.text = "batch differential campaign seed=" +
-                std::to_string(options.seed) +
-                " trials=" + std::to_string(options.trials) +
-                " n=" + std::to_string(options.n_min) + ".." +
-                std::to_string(options.n_max) + " algos=";
-  for (std::size_t i = 0; i < algos.size(); ++i)
-    report.text += (i ? "," : "") + algos[i];
-  report.text += "\n";
-
-  // Trial sub-seeds are pre-drawn from the master stream in trial order,
-  // the same replayability idiom as the fuzz campaign.
-  Xoshiro256 master(options.seed);
-  std::vector<std::uint64_t> sub_seeds(options.trials);
-  for (auto& s : sub_seeds) s = master();
-
-  for (std::uint64_t t = 0; t < options.trials; ++t) {
-    std::optional<std::string> mismatch;
-    report.text += run_trial(t, sub_seeds[t], options.n_min, options.n_max,
-                             algos, mismatch);
-    report.text += "\n";
-    if (mismatch)
-      report.mismatches.push_back({t, *mismatch});
-    else
-      ++report.ok;
-  }
+  report.trials = run.trials;
+  report.ok = run.ok;
+  report.mismatches = std::move(run.failures);
+  report.text = std::move(run.text);
   report.text += "summary: trials=" + std::to_string(report.trials) +
                  " ok=" + std::to_string(report.ok) +
                  " mismatches=" + std::to_string(report.mismatches.size()) +
                  "\n";
-
-  if (options.metrics) {
-    options.metrics->counter("batch.diff.trials").inc(report.trials);
-    options.metrics->counter("batch.diff.ok").inc(report.ok);
-    options.metrics->counter("batch.diff.mismatches")
-        .inc(report.mismatches.size());
-  }
   return report;
 }
 

@@ -8,8 +8,9 @@
 // is a bug in the batch kernels, reported with enough detail to replay
 // (trial sub-seed, topology, first differing node).
 //
-// Like the fuzz campaign, two runs with the same options produce
-// byte-identical report text.  tools/fuzz exposes this behind --batched.
+// Like the fuzz campaign it runs on the shared campaign core, so two runs
+// with the same options produce byte-identical report text for any worker
+// count.  tools/fuzz exposes this behind --batched.
 #pragma once
 
 #include <cstdint>
@@ -17,22 +18,18 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "obs/metrics.hpp"
+#include "runtime/campaign.hpp"
 
 namespace ftcc {
 
-struct BatchCampaignOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 200;
-  NodeId n_min = 4;
-  /// Kept modest by default: the sequential replay is the bottleneck, and
-  /// the differential contract is asserted for graphs up to 10³ nodes.
-  NodeId n_max = 192;
-  /// Subset of batch_algorithms(); empty = both.
-  std::vector<std::string> algos;
-  /// Optional counters (batch.diff.trials / ok / mismatches); reports are
-  /// byte-identical whether or not a registry is attached.
-  obs::Registry* metrics = nullptr;
+/// A differential campaign: CampaignSpec + CampaignPacing
+/// (runtime/campaign.hpp).  The report is byte-identical for any `jobs`.
+/// With a registry, the core's batch.diff.* campaign metrics.
+struct BatchCampaignOptions : CampaignSpec, CampaignPacing {
+  /// The n range is kept modest by default: the sequential replay is the
+  /// bottleneck, and the differential contract is asserted for graphs up
+  /// to 10³ nodes.
+  BatchCampaignOptions() { n_max = 192; }
 };
 
 struct BatchMismatch {

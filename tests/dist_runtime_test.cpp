@@ -8,6 +8,8 @@
 
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
@@ -245,6 +247,42 @@ TEST(DistRuntime, SmallMixedCampaignCertifiesEveryTrial) {
   const DistCampaignReport again = run_dist_campaign(options);
   EXPECT_EQ(report.decisions_digest, again.decisions_digest);
   EXPECT_EQ(report.text, again.text);
+}
+
+TEST(DistRuntime, PersistIntoARegularFileFailsWithAMessage) {
+  // `tools/dist` with a regular file named dist-witnesses in the way: the
+  // one fallback persist path reports the problem (the tool prints the
+  // report and exits 2) and saves nothing.
+  DistCampaignFailure failure;
+  failure.trial = 4;
+  failure.verdict = "[runtime] synthetic";
+  failure.artifact.algo = "six";
+  failure.artifact.graph_kind = "cycle";
+  failure.artifact.n = 3;
+  failure.artifact.ids = sorted_ids(3);
+  failure.artifact.log.reset(3);
+  std::vector<DistCampaignFailure> failures{failure};
+  const std::string blocker =
+      (std::filesystem::temp_directory_path() / "ftcc-dist-blocker").string();
+  std::filesystem::remove_all(blocker);
+  std::ofstream(blocker) << "not a directory\n";
+  std::ostringstream out;
+  std::string error;
+  EXPECT_FALSE(persist_witnesses(failures, blocker, out, error));
+  EXPECT_NE(error.find(blocker), std::string::npos) << error;
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_TRUE(failures[0].path.empty());
+  std::filesystem::remove(blocker);
+
+  // The same failure lands in a real directory as dist-<trial>.eventlog.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "ftcc-dist-persist").string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(persist_witnesses(failures, dir, out, error)) << error;
+  EXPECT_EQ(failures[0].path, dir + "/dist-4.eventlog");
+  EXPECT_EQ(out.str(), "witness trial 4: " + failures[0].path + "\n");
+  EXPECT_TRUE(std::filesystem::is_regular_file(failures[0].path));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DistJanitor, FatalSignalUnlinksShmAndReturnsConventionalStatus) {

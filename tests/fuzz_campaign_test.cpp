@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "fuzz/campaign.hpp"
 
@@ -179,10 +181,17 @@ TEST(Campaign, InjectedFaultDrivesTheWholeFailurePipeline) {
   std::filesystem::remove_all(dir);
 }
 
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(Campaign, PersistFailureArtifactsFillsPathsAfterTheFact) {
   // The --raw UX fix: a campaign run without an artifact dir leaves
-  // failure paths empty; persist_failure_artifacts saves them to a
-  // fallback dir so the tool can always print a replayable path.
+  // failure paths empty; persist_witnesses saves them to a fallback dir
+  // so the tool can always print a replayable path.
   const auto dir =
       std::filesystem::temp_directory_path() / "ftcc_fuzz_campaign_persist";
   std::filesystem::remove_all(dir);
@@ -195,20 +204,50 @@ TEST(Campaign, PersistFailureArtifactsFillsPathsAfterTheFact) {
   for (const auto& failure : report.failures)
     EXPECT_TRUE(failure.path.empty());
 
-  const auto lines = persist_failure_artifacts(report, dir.string());
+  std::ostringstream out;
+  std::string error;
+  ASSERT_TRUE(persist_witnesses(report.failures, dir.string(), out, error))
+      << error;
+  const std::vector<std::string> lines = split_lines(out.str());
   ASSERT_EQ(lines.size(), report.failures.size());
   for (std::size_t i = 0; i < report.failures.size(); ++i) {
     const auto& failure = report.failures[i];
     ASSERT_FALSE(failure.path.empty());
     EXPECT_NE(lines[i].find(failure.path), std::string::npos);
-    std::string error;
-    const auto loaded = load_schedule(failure.path, &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
+    std::string load_error;
+    const auto loaded = load_schedule(failure.path, &load_error);
+    ASSERT_TRUE(loaded.has_value()) << load_error;
     EXPECT_EQ(*loaded, failure.shrink.artifact);
   }
   // Already-persisted failures are left alone on a second call.
-  EXPECT_TRUE(persist_failure_artifacts(report, dir.string()).empty());
+  std::ostringstream again;
+  EXPECT_TRUE(persist_witnesses(report.failures, dir.string(), again, error));
+  EXPECT_TRUE(again.str().empty());
   std::filesystem::remove_all(dir);
+}
+
+TEST(Campaign, PersistIntoARegularFileFailsWithAMessage) {
+  // `tools/fuzz` with a regular file named fuzz-artifacts in the way used
+  // to die on an uncaught filesystem_error, losing the printed report.
+  // The fallback now reports the problem and leaves the paths empty.
+  const auto blocker =
+      std::filesystem::temp_directory_path() / "ftcc_fuzz_persist_blocker";
+  std::filesystem::remove_all(blocker);
+  std::ofstream(blocker) << "not a directory\n";
+
+  CampaignOptions options = small_options();
+  options.trials = 2;
+  options.inject = InjectedFault::no_termination;
+  CampaignReport report = run_campaign(options);
+  ASSERT_FALSE(report.failures.empty());
+  std::ostringstream out;
+  std::string error;
+  EXPECT_FALSE(
+      persist_witnesses(report.failures, blocker.string(), out, error));
+  EXPECT_NE(error.find(blocker.string()), std::string::npos) << error;
+  EXPECT_TRUE(out.str().empty());
+  for (const auto& failure : report.failures) EXPECT_TRUE(failure.path.empty());
+  std::filesystem::remove(blocker);
 }
 
 TEST(Campaign, ReplayViolationIsCleanOnAnEmptySchedule) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fuzz/campaign.hpp"
@@ -29,6 +30,41 @@ CampaignOptions small_options() {
 CampaignReport run_with_jobs(CampaignOptions options, unsigned jobs) {
   options.jobs = jobs;
   return run_campaign(options);
+}
+
+/// FNV-1a 64 over a report's text.  The golden values below pin the
+/// exact report bytes of fixed-seed campaigns: any drift in trial
+/// generation, trial bodies, shrinking, or the campaign core's merge
+/// (runtime/campaign.hpp) changes them.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ParallelCampaign, MixedFaultReportMatchesGoldenDigest) {
+  CampaignOptions options;
+  options.seed = 20260806;
+  options.trials = 200;
+  options.fault_mode = FaultMode::mixed;
+  options.wrap = true;
+  const CampaignReport report = run_with_jobs(options, 2);
+  EXPECT_EQ(report.trials, 200u);
+  EXPECT_TRUE(report.failures.empty());
+  EXPECT_EQ(fnv1a(report.text), 0xc97e4ce2cfedd2e3ULL);
+}
+
+TEST(ParallelCampaign, ShrinkingReportMatchesGoldenDigest) {
+  CampaignOptions options = small_options();
+  options.trials = 20;
+  options.inject = InjectedFault::no_termination;
+  options.shrink = true;
+  const CampaignReport report = run_with_jobs(options, 2);
+  ASSERT_EQ(report.failures.size(), 20u);
+  EXPECT_EQ(fnv1a(report.text), 0xa56728ec181c391fULL);
 }
 
 TEST(ParallelCampaign, CleanCampaignIsByteIdenticalAcrossJobs) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "core/algo1_six_coloring.hpp"
+#include "core/recovering.hpp"
 #include "fuzz/certify_campaign.hpp"
+#include "graph/coloring.hpp"
 #include "graph/ids.hpp"
 #include "runtime/threaded_executor.hpp"
 
@@ -102,6 +106,50 @@ TEST(Certifier, StallFaultCertifiesAtSplitOnly) {
   EXPECT_TRUE(report.ok()) << report.summary();
   // Faulty runs never collapse: the stall has no atomic-model analogue.
   EXPECT_FALSE(report.atomic);
+}
+
+TEST(Certifier, CorruptionNeverTouchesAFinishedNodesRegister) {
+  // The sequential Executor never corrupts a terminated node's frozen
+  // register, so the threaded lowering of corrupt_words must not either:
+  // a fault due on a node's terminating activation is dropped, and no
+  // adversary write is ever logged in a node's finishing round.  Every
+  // node here carries a corruption on each of its first 32 publishes, so
+  // whichever round it finishes in has one due.
+  using Wrapped = Recovering<SixColoring>;
+  const NodeId n = 8;
+  const Graph graph = make_cycle(n);
+  std::uint64_t adversary_writes = 0;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const IdAssignment ids = random_ids(n, seed);
+    ThreadedOptions opts;
+    for (NodeId v = 0; v < n; ++v)
+      for (std::uint64_t k = 0; k < 32; ++k)
+        opts.faults.push_back(
+            {v, ThreadedFault::Kind::corrupt_words, k, 0x40000001ULL});
+    ThreadedExecutor<Wrapped> ex(Wrapped{}, graph, ids, opts);
+    HbLog log;
+    ex.attach_hb_log(&log);
+    const auto result = ex.run(1'000'000);
+    ASSERT_TRUE(result.completed) << "seed " << seed;
+    EXPECT_TRUE(
+        is_proper_total(graph, to_partial_coloring<Wrapped>(result.outputs)));
+    for (NodeId v = 0; v < n; ++v) {
+      const auto& events = log.events(v);
+      ASSERT_FALSE(events.empty());
+      ASSERT_EQ(events.back().kind, HbEventKind::finish) << "node " << v;
+      const std::uint64_t finishing_round = events.back().round;
+      for (const HbEvent& e : events) {
+        if (e.kind != HbEventKind::adversary) continue;
+        ++adversary_writes;
+        EXPECT_LT(e.round, finishing_round)
+            << "seed " << seed << " node " << v
+            << ": adversary write in the finishing round";
+      }
+    }
+    const CertifyReport report = certify_log(Wrapped{}, graph, ids, log);
+    EXPECT_TRUE(report.ok()) << report.summary();
+  }
+  EXPECT_GT(adversary_writes, 0u);  // the faults did fire
 }
 
 // ---------------------------------------------------------------------------
@@ -470,8 +518,7 @@ TEST(BrokenSeqlock, TornReadCaughtWithReplayableWitness) {
   std::filesystem::remove(path);
 }
 
-TEST(CertifyWitnesses, PersistFillsMissingPaths) {
-  CertifyCampaignReport report;
+CertifyCampaignFailure synthetic_certify_failure() {
   CertifyCampaignFailure failure;
   failure.trial = 3;
   failure.verdict = "[torn-read] synthetic";
@@ -481,22 +528,49 @@ TEST(CertifyWitnesses, PersistFillsMissingPaths) {
   failure.artifact.ids = sorted_ids(3);
   failure.artifact.log.reset(3);
   failure.artifact.verdict = failure.verdict;
-  report.failures.push_back(failure);
+  return failure;
+}
+
+TEST(CertifyWitnesses, PersistFillsMissingPaths) {
+  CertifyCampaignReport report;
+  report.failures.push_back(synthetic_certify_failure());
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ftcc-certify-persist")
           .string();
   std::filesystem::remove_all(dir);
-  const auto lines = persist_certify_witnesses(report, dir);
-  ASSERT_EQ(lines.size(), 1u);
-  ASSERT_FALSE(report.failures[0].path.empty());
-  EXPECT_NE(lines[0].find(report.failures[0].path), std::string::npos);
+  std::ostringstream out;
   std::string error;
+  ASSERT_TRUE(persist_witnesses(report.failures, dir, out, error)) << error;
+  ASSERT_FALSE(report.failures[0].path.empty());
+  EXPECT_EQ(out.str(),
+            "witness trial 3: " + report.failures[0].path + "\n");
   EXPECT_TRUE(load_event_log(report.failures[0].path, &error).has_value())
       << error;
   // Already-persisted failures are not saved twice.
-  EXPECT_TRUE(persist_certify_witnesses(report, dir).empty());
+  std::ostringstream again;
+  EXPECT_TRUE(persist_witnesses(report.failures, dir, again, error));
+  EXPECT_TRUE(again.str().empty());
   std::filesystem::remove_all(dir);
+}
+
+TEST(CertifyWitnesses, PersistIntoARegularFileFailsWithAMessage) {
+  // `tools/fuzz --certify` with a regular file named race-witnesses in
+  // the way: the fallback names the problem instead of throwing.
+  CertifyCampaignReport report;
+  report.failures.push_back(synthetic_certify_failure());
+  const std::string blocker =
+      (std::filesystem::temp_directory_path() / "ftcc-certify-blocker")
+          .string();
+  std::filesystem::remove_all(blocker);
+  std::ofstream(blocker) << "not a directory\n";
+  std::ostringstream out;
+  std::string error;
+  EXPECT_FALSE(persist_witnesses(report.failures, blocker, out, error));
+  EXPECT_NE(error.find(blocker), std::string::npos) << error;
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_TRUE(report.failures[0].path.empty());
+  std::filesystem::remove(blocker);
 }
 
 }  // namespace

@@ -224,19 +224,6 @@ TEST(Differential, SymmetricForeverQuotientIsExact) {
   EXPECT_EQ(sym.wait_free, raw.wait_free);
 }
 
-TEST(Differential, RunParallelDispatchesToReduced) {
-  // run_parallel() with any layer enabled must route through run_reduced
-  // and still agree with the unreduced run.
-  ModelCheckOptions<SixColoring> opt;
-  opt.mode = ActivationMode::sets;
-  ModelChecker<SixColoring> plain(SixColoring{}, make_cycle(4),
-                                  random_ids(4, 2026), opt);
-  opt.reductions.compress = true;
-  ModelChecker<SixColoring> reduced(SixColoring{}, make_cycle(4),
-                                    random_ids(4, 2026), opt);
-  expect_equal(plain.run(), reduced.run_parallel(3));
-}
-
 TEST(Differential, ReducedWorkerCountInvariance) {
   // Identical results — including the engine instrumentation fields — for
   // every worker count, with all layers on.

@@ -1,9 +1,9 @@
-// run_parallel() vs run(): the parallel explorer's level-synchronised BFS
-// plus sequential DFS replay must reproduce the sequential checker's
-// result field for field — verdicts, exact counts, worst-case DPs, the
-// first livelock witness, the first safety violation — for any worker
-// count (DESIGN.md §10).  Fixtures and pinned counts come from
-// expected_counts.hpp.
+// run_reduced() with every reduction layer off vs run(): the parallel
+// explorer's level-synchronised BFS plus sequential DFS replay must
+// reproduce the sequential checker's result field for field — verdicts,
+// exact counts, worst-case DPs, the first livelock witness, the first
+// safety violation — for any worker count (DESIGN.md §10).  Fixtures
+// and pinned counts come from expected_counts.hpp.
 #include "modelcheck/explorer.hpp"
 
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@ TEST(ParallelExplorer, SixColoringMatchesSequentialInBothModes) {
     ModelChecker<SixColoring> mc(SixColoring{}, make_cycle(4),
                                  random_ids(4, 2026), options);
     const auto sequential = mc.run();
-    const auto parallel = mc.run_parallel(4);
+    const auto parallel = mc.run_reduced(4);
     ASSERT_TRUE(sequential.completed);
     EXPECT_TRUE(parallel.wait_free);
     expect_equal(sequential, parallel);
@@ -39,7 +39,7 @@ TEST(ParallelExplorer, CountDownExactCountsSurviveParallelism) {
   ModelCheckOptions<CountDown> options;
   options.mode = ActivationMode::sets;
   ModelChecker<CountDown> mc(CountDown{2}, make_cycle(3), iota3(), options);
-  const auto parallel = mc.run_parallel(4);
+  const auto parallel = mc.run_reduced(4);
   ASSERT_TRUE(parallel.completed);
   EXPECT_EQ(parallel.configs, testalgo::kCountDown2C3Configs);
   EXPECT_EQ(parallel.terminal_configs, testalgo::kCountDown2C3Terminal);
@@ -55,7 +55,7 @@ TEST(ParallelExplorer, FirstLivelockWitnessIsIdentical) {
     options.mode = mode;
     ModelChecker<Forever> mc(Forever{}, make_cycle(3), iota3(), options);
     const auto sequential = mc.run();
-    const auto parallel = mc.run_parallel(8);
+    const auto parallel = mc.run_reduced(8);
     EXPECT_FALSE(parallel.wait_free);
     ASSERT_FALSE(parallel.livelock_loop.empty());
     expect_equal(sequential, parallel);
@@ -68,7 +68,7 @@ TEST(ParallelExplorer, FirstSafetyViolationIsIdentical) {
   ModelChecker<ConstantColor> mc(ConstantColor{}, make_cycle(3), iota3(),
                                  options);
   const auto sequential = mc.run();
-  const auto parallel = mc.run_parallel(4);
+  const auto parallel = mc.run_reduced(4);
   EXPECT_FALSE(parallel.outputs_proper);
   ASSERT_TRUE(parallel.safety_violation.has_value());
   EXPECT_NE(parallel.safety_violation->find("improper"), std::string::npos);
@@ -79,8 +79,8 @@ TEST(ParallelExplorer, WorkerCountNeverChangesTheResult) {
   ModelCheckOptions<CountDown> options;
   options.mode = ActivationMode::sets;
   ModelChecker<CountDown> mc(CountDown{3}, make_cycle(3), iota3(), options);
-  const auto two = mc.run_parallel(2);
-  const auto eight = mc.run_parallel(8);
+  const auto two = mc.run_reduced(2);
+  const auto eight = mc.run_reduced(8);
   ASSERT_TRUE(two.completed);
   expect_equal(two, eight);
   expect_equal(mc.run(), two);
@@ -90,7 +90,7 @@ TEST(ParallelExplorer, JobsOneDelegatesToSequentialRun) {
   ModelCheckOptions<CountDown> options;
   options.mode = ActivationMode::singletons;
   ModelChecker<CountDown> mc(CountDown{2}, make_cycle(3), iota3(), options);
-  expect_equal(mc.run(), mc.run_parallel(1));
+  expect_equal(mc.run(), mc.run_reduced(1));
 }
 
 TEST(ParallelExplorer, BudgetExhaustionIsDeterministicAcrossJobs) {
@@ -102,8 +102,8 @@ TEST(ParallelExplorer, BudgetExhaustionIsDeterministicAcrossJobs) {
   options.max_configs = 5;
   ModelChecker<CountDown> mc(CountDown{4}, make_cycle(3), iota3(), options);
   const auto sequential = mc.run();
-  const auto two = mc.run_parallel(2);
-  const auto eight = mc.run_parallel(8);
+  const auto two = mc.run_reduced(2);
+  const auto eight = mc.run_reduced(8);
   EXPECT_FALSE(sequential.completed);
   EXPECT_FALSE(two.completed);
   EXPECT_FALSE(two.wait_free);

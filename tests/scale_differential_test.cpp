@@ -147,6 +147,42 @@ TEST(ScaleDifferential, CampaignReportIsByteIdentical) {
   EXPECT_FALSE(first.empty());
 }
 
+/// FNV-1a 64 over a report's text (see fuzz_parallel_test.cpp): the
+/// golden value pins the exact report bytes of a fixed-seed campaign.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ScaleDifferential, CampaignReportMatchesGoldenDigest) {
+  BatchCampaignOptions options;
+  options.seed = 20260806;
+  options.trials = 300;
+  const BatchCampaignReport report = run_batch_campaign(options);
+  EXPECT_EQ(report.ok, options.trials);
+  EXPECT_EQ(fnv1a(report.text), 0x3c03496c373c35a5ULL);
+}
+
+TEST(ScaleDifferential, CampaignReportIsIdenticalAcrossJobs) {
+  // The campaign core merges per-trial chunks in trial order, so a
+  // parallel differential campaign reports exactly what the sequential
+  // one does.
+  BatchCampaignOptions options;
+  options.seed = 4242;
+  options.trials = 64;
+  options.jobs = 1;
+  const BatchCampaignReport sequential = run_batch_campaign(options);
+  options.jobs = 4;
+  const BatchCampaignReport parallel = run_batch_campaign(options);
+  EXPECT_EQ(sequential.text, parallel.text);
+  EXPECT_EQ(sequential.ok, parallel.ok);
+  EXPECT_EQ(parallel.ok, options.trials);
+}
+
 TEST(ScaleDifferential, AlgorithmRegistry) {
   const auto& algos = batch_algorithms();
   ASSERT_EQ(algos.size(), 2u);

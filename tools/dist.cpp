@@ -175,15 +175,11 @@ int main(int argc, char** argv) {
   // report moves to stderr.
   std::ostream& report_out = cli.get_bool("follow") ? std::cerr : std::cout;
   report_out << report.text;
-  if (!report.failures.empty()) {
-    std::vector<std::string> lines;
-    std::string error;
-    if (!ftcc::dist::persist_dist_witnesses(report, "dist-witnesses", lines,
-                                            &error)) {
-      std::cerr << "cannot persist witnesses: " << error << "\n";
-      return 2;
-    }
-    for (const std::string& line : lines) report_out << line << "\n";
+  std::string error;
+  if (!ftcc::persist_witnesses(report.failures, "dist-witnesses", report_out,
+                               error)) {
+    std::cerr << "cannot persist witnesses: " << error << "\n";
+    return 2;
   }
   if (!metrics_path.empty()) {
     const std::map<std::string, std::string> meta{

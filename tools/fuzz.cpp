@@ -19,7 +19,13 @@
 // OS interleavings are not, by design.)
 // A failing run always names its replay artifacts: if --out was not
 // given they are saved under fuzz-artifacts/ (schedules) or
-// race-witnesses/ (event logs).
+// race-witnesses/ (event logs); when that is impossible (say, a regular
+// file of that name is in the way) the report is still printed and the
+// exit status is 2.
+// --batched runs the batch-vs-sequential differential campaign on the
+// same campaign core: --jobs, --follow, --progress, --trace and --metrics
+// apply, its report is byte-identical for any --jobs, and it refuses
+// --inject, --raw and --out.
 // Exit status: 0 = no violations, 1 = violations found (or replay failed
 // to reproduce), 2 = usage or artifact error.
 #include <unistd.h>
@@ -27,6 +33,7 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <string>
 
 #include "fuzz/campaign.hpp"
 #include "fuzz/certify_campaign.hpp"
@@ -170,7 +177,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Observability plumbing shared by both campaign kinds.  The registry
+  const bool batched = cli.get_bool("batched");
+  if (batched) {
+    if (algo_flag != "all" && !ftcc::known_batch_algorithm(algo_flag)) {
+      std::cerr << "--batched supports only delta2 and fast6 (got '"
+                << algo_flag << "')\n";
+      return 2;
+    }
+    // The differential campaign has no fault injection, no wrapper and no
+    // witness files: refuse those flags instead of ignoring them.
+    if (inject_name != "none" || cli.get_bool("raw") ||
+        !cli.get_string("out").empty()) {
+      std::cerr << "--batched takes no --inject, --raw or --out\n";
+      return 2;
+    }
+  }
+
+  // Observability plumbing shared by every campaign kind.  The registry
   // and sink live here so they outlive the campaign; files are written
   // after the run (write failures are usage errors, not fuzz verdicts).
   const std::string metrics_path = cli.get_string("metrics");
@@ -238,82 +261,70 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  if (cli.get_bool("batched")) {
-    if (algo_flag != "all" && !ftcc::known_batch_algorithm(algo_flag)) {
-      std::cerr << "--batched supports only delta2 and fast6 (got '"
-                << algo_flag << "')\n";
-      return 2;
-    }
+  // The CampaignSpec / CampaignPacing fields every campaign kind takes.
+  const auto fill_common = [&](ftcc::CampaignSpec& spec,
+                               ftcc::CampaignPacing& pacing) {
+    spec.seed = cli.get_u64("seed");
+    spec.trials = cli.get_u64("trials");
+    spec.n_min = n_min;
+    spec.n_max = n_max;
+    if (algo_flag != "all") spec.algos = {algo_flag};
+    if (!metrics_path.empty()) spec.metrics = &registry;
+    if (!trace_path.empty()) spec.trace = &trace;
+    pacing.jobs = jobs;
+    if (follow) pacing.on_progress = follow_progress;
+    else if (show_progress) pacing.on_progress = print_progress;
+  };
+  // In --follow mode stdout carries only the ftcc-metrics-v1 stream;
+  // the report moves to stderr (see tools/dist.cpp for the same split).
+  std::ostream& report_out = follow ? std::cerr : std::cout;
+
+  if (batched) {
     ftcc::BatchCampaignOptions options;
-    options.seed = cli.get_u64("seed");
-    options.trials = cli.get_u64("trials");
-    options.n_min = n_min;
-    options.n_max = n_max;
-    if (algo_flag != "all") options.algos = {algo_flag};
-    if (!metrics_path.empty()) options.metrics = &registry;
+    fill_common(options, options);
     const ftcc::BatchCampaignReport report = ftcc::run_batch_campaign(options);
-    std::cout << report.text;
+    report_out << report.text;
     if (!write_observability("batched")) return 2;
     return report.mismatches.empty() ? 0 : 1;
   }
 
   if (certify) {
     ftcc::CertifyCampaignOptions options;
-    options.seed = cli.get_u64("seed");
-    options.trials = cli.get_u64("trials");
-    options.n_min = n_min;
+    fill_common(options, options);
     // The schedule campaign's default n range is sized for sequential
     // replay; threads are costlier, so cap the default certify range.
     options.n_max = std::min<ftcc::NodeId>(n_max, 12);
-    options.artifact_dir = cli.get_string("out");
+    options.artifact_dir = out_dir;
     options.inject_faults = threaded_faults;
-    options.jobs = jobs;
-    if (algo_flag != "all") options.algos = {algo_flag};
-    if (!metrics_path.empty()) options.metrics = &registry;
-    if (!trace_path.empty()) options.trace = &trace;
-    if (follow) options.on_progress = follow_progress;
-    else if (show_progress) options.on_progress = print_progress;
     ftcc::CertifyCampaignReport report = ftcc::run_certify_campaign(options);
-    std::ostream& report_out = follow ? std::cerr : std::cout;
     report_out << report.text;
-    if (!report.failures.empty())
-      for (const std::string& line :
-           ftcc::persist_certify_witnesses(report, "race-witnesses"))
-        report_out << line << "\n";
-    if (!write_observability("certify")) return 2;
+    std::string error;
+    const bool persisted = ftcc::persist_witnesses(
+        report.failures, "race-witnesses", report_out, error);
+    if (!persisted)
+      std::cerr << "cannot persist witnesses: " << error << "\n";
+    if (!write_observability("certify") || !persisted) return 2;
     return report.failures.empty() ? 0 : 1;
   }
 
   ftcc::CampaignOptions options;
-  options.seed = cli.get_u64("seed");
-  options.trials = cli.get_u64("trials");
-  options.n_min = n_min;
-  options.n_max = n_max;
-  options.artifact_dir = cli.get_string("out");
-  options.jobs = jobs;
+  fill_common(options, options);
+  options.artifact_dir = out_dir;
   options.shrink = cli.get_bool("shrink");
   options.inject = inject;
   options.fault_mode = fault_mode;
   // Real faults default to running under the self-healing wrapper; --raw
   // exposes the unprotected algorithms (corruption is expected to bite).
   options.wrap = fault_mode != ftcc::FaultMode::none && !cli.get_bool("raw");
-  if (algo_flag != "all") options.algos = {algo_flag};
-  if (!metrics_path.empty()) options.metrics = &registry;
-  if (!trace_path.empty()) options.trace = &trace;
-  if (follow) options.on_progress = follow_progress;
-  else if (show_progress) options.on_progress = print_progress;
 
   ftcc::CampaignReport report = ftcc::run_campaign(options);
-  // In --follow mode stdout carries only the ftcc-metrics-v1 stream;
-  // the report moves to stderr (see tools/dist.cpp for the same split).
-  std::ostream& report_out = follow ? std::cerr : std::cout;
   report_out << report.text;
   // A failing campaign must always name its replay artifacts — also with
   // --raw and no --out (the campaign itself only saves into --out).
-  if (!report.failures.empty())
-    for (const std::string& line :
-         ftcc::persist_failure_artifacts(report, "fuzz-artifacts"))
-      report_out << line << "\n";
-  if (!write_observability("campaign")) return 2;
+  std::string error;
+  const bool persisted = ftcc::persist_witnesses(
+      report.failures, "fuzz-artifacts", report_out, error);
+  if (!persisted) std::cerr << "cannot persist witnesses: " << error << "\n";
+  if (!write_observability("campaign") || !persisted) return 2;
   return report.failures.empty() ? 0 : 1;
 }
