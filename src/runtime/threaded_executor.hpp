@@ -129,10 +129,25 @@ class ThreadedExecutor {
   ExecutionResult<Output> run(std::uint64_t max_rounds) {
     const NodeId n = graph_->node_count();
     if (hb_log_) hb_log_->reset(n);
+    // A node due to stall on its first publish lives init → publish →
+    // stall.  Running it to completion before any other thread starts is
+    // a legal schedule, and it leaves the odd seqlock version visible to
+    // every neighbour's first read, so each of them meets the dead writer
+    // instead of racing ahead of it and reading ⊥ (version 0).
+    std::vector<std::uint8_t> ran_inline(n, 0);
+    for (const ThreadedFault& f : options_.faults) {
+      if (f.kind != ThreadedFault::Kind::stall_mid_publish ||
+          f.after_publishes != 0 || ran_inline[f.node])
+        continue;
+      ran_inline[f.node] = 1;
+      node_main(f.node, max_rounds);
+    }
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (NodeId v = 0; v < n; ++v)
-      threads.emplace_back([this, v, max_rounds] { node_main(v, max_rounds); });
+      if (!ran_inline[v])
+        threads.emplace_back(
+            [this, v, max_rounds] { node_main(v, max_rounds); });
     for (auto& t : threads) t.join();
 
     ExecutionResult<Output> result;

@@ -1,4 +1,4 @@
-// The million-node campaign engine (DESIGN.md §15, ROADMAP item 2).
+// The million-node campaign engine (DESIGN.md §15, ROADMAP item 3).
 //
 // BatchExecutor is a structure-of-arrays re-implementation of the
 // synchronous special case of Executor<A>: every sweep activates exactly
@@ -8,19 +8,24 @@
 // O(chain length) sweeps — and restricting to it is what makes the
 // per-node bookkeeping collapse into flat arrays:
 //
-//   - registers and private state live in parallel std::uint64_t columns
-//     keyed by NodeId (the arena idea of runtime/register_file.hpp taken
-//     to its limit: no slots, no optionals, one cache line holds eight
-//     neighbours' worth of one field);
-//   - termination, crash, and register-presence are one bit per node in
-//     packed word bitmaps; the frontier bitmap (= working set) drives the
-//     sweep in ascending index order, so the columns are walked
-//     sequentially and the prefetcher does the scheduling;
+//   - each node's published register is one record in a flat array keyed
+//     by NodeId (Algorithm 4: a 16-byte {x, a, b}, so one neighbour read
+//     touches one cache line); private state lives in plain columns,
+//     walked in index order.  Presence rides in the record: reset() fills
+//     every colour component with kAbsent, a value no colour component can
+//     take, so "ever published" is `a != kAbsent` and needs no bitmap;
+//   - termination and crash are one bit per node in packed word bitmaps;
+//     the frontier bitmap (= working set) drives the sweep in ascending
+//     index order.  Neighbour records of a random graph sit at random
+//     addresses, so the read phase runs a second frontier cursor a fixed
+//     number of nodes ahead and prefetches those nodes' neighbour records,
+//     keeping several cache misses in flight instead of one;
 //   - the mex/palette inner loop is branchless: neighbour colours are
 //     deposited into a 128-bit ColorBitset with arithmetic masks (no
 //     compare-and-branch per neighbour) and mex() is two countr_one
 //     instructions.  Colour components are mex results over ≤ Δ ≤ 64
-//     values, hence ≤ 64 < 128 — the bitset never overflows.
+//     values, hence ≤ 64 < 128 — the bitset never overflows, and a
+//     component fits a std::uint32_t losslessly.
 //
 // Semantics are pinned, not approximated: for every graph, id assignment,
 // and crash-stop plan, run() must produce an ExecutionResult that is
@@ -81,22 +86,45 @@ class ColorBitset {
   std::uint64_t w_[2] = {0, 0};
 };
 
-/// Per-algorithm column sets.  A specialization provides the SoA layout
-/// plus publish/step kernels that mirror the algorithm's publish()/step()
-/// exactly (same conflict test, same mex pools, same update order).  Only
+/// Colour-component value of a register that was never published (⊥).
+/// Live components are mex results over ≤ Δ ≤ 64 values, so they never
+/// reach it: a conflict test against kAbsent is always false, and a
+/// presence test is `a != kAbsent`.
+inline constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+/// Narrows a colour component into a register record.  Components are
+/// mex results over at most Δ ≤ 64 values, so the narrowing is lossless
+/// and never produces kAbsent.
+[[nodiscard]] inline std::uint32_t register_component(std::uint64_t c) {
+  FTCC_EXPECTS(c <= 64);
+  return static_cast<std::uint32_t>(c);
+}
+
+/// Per-algorithm column sets.  A specialization provides the layout plus
+/// publish/step kernels that mirror the algorithm's publish()/step()
+/// exactly (same conflict test, same mex pools, same update order) and a
+/// prefetch hook the sweep calls a few frontier nodes ahead.  Only
 /// specialized algorithms run on the batch path — instantiating the
 /// primary template is a compile error.
 template <typename A>
 struct BatchColumns;
 
-/// Algorithm 4 (DeltaSquaredColoring): state columns x/a/b, published
-/// register columns px/pa/pb.  x is the immutable identifier.
+/// Algorithm 4 (DeltaSquaredColoring): private state columns a/b and one
+/// published register record per node.  The identifier x is immutable,
+/// so the record's x is the only copy of it.
 template <>
 struct BatchColumns<DeltaSquaredColoring> {
   using Output = DeltaSquaredColoring::Output;
 
-  std::vector<std::uint64_t> x, a, b;     // private state
-  std::vector<std::uint64_t> px, pa, pb;  // published register
+  /// One neighbour read = one 16-byte load from one cache line.
+  struct alignas(16) Reg {
+    std::uint64_t x;
+    std::uint32_t a, b;
+  };
+  static_assert(sizeof(Reg) == 16);
+
+  std::vector<std::uint64_t> a, b;  // private state
+  std::vector<Reg> reg;             // published register (x, a, b)
 
   void reset(const Graph& g, const IdAssignment& ids) {
     const NodeId n = g.node_count();
@@ -104,31 +132,31 @@ struct BatchColumns<DeltaSquaredColoring> {
     for (NodeId v = 0; v < n; ++v)
       FTCC_EXPECTS(g.degree(v) >= 1 &&
                    g.degree(v) <= DeltaSquaredColoring::kMaxDegree);
-    x.assign(ids.begin(), ids.end());
     a.assign(n, 0);
     b.assign(n, 0);
-    px.assign(n, 0);
-    pa.assign(n, 0);
-    pb.assign(n, 0);
+    reg.resize(n);
+    for (NodeId v = 0; v < n; ++v) reg[v] = Reg{ids[v], kAbsent, kAbsent};
   }
 
   void publish(NodeId v) noexcept {
-    px[v] = x[v];
-    pa[v] = a[v];
-    pb[v] = b[v];
+    reg[v].a = register_component(a[v]);
+    reg[v].b = register_component(b[v]);
   }
 
-  /// One activation of v against published neighbour columns; `present`
-  /// is the register-presence bitmap (bit u set iff u ever published).
+  void prefetch(std::span<const NodeId> neigh) const noexcept {
+    for (const NodeId u : neigh) __builtin_prefetch(&reg[u]);
+  }
+
+  /// One activation of v against its neighbours' published records.  An
+  /// absent record (kAbsent) never conflicts and deposits nothing.
   /// Returns true on termination, filling `out`.
-  bool step(NodeId v, std::span<const NodeId> neigh,
-            const std::uint64_t* present, Output& out) noexcept {
-    const std::uint64_t sx = x[v], sa = a[v], sb = b[v];
+  bool step(NodeId v, std::span<const NodeId> neigh, Output& out) noexcept {
+    const std::uint64_t sx = reg[v].x, sa = a[v], sb = b[v];
     std::uint64_t conflict = 0;
     for (const NodeId u : neigh) {
-      const std::uint64_t pres = (present[u >> 6] >> (u & 63)) & 1u;
-      conflict |= pres & static_cast<std::uint64_t>(pa[u] == sa) &
-                  static_cast<std::uint64_t>(pb[u] == sb);
+      const Reg r = reg[u];
+      conflict |= static_cast<std::uint64_t>(r.a == sa) &
+                  static_cast<std::uint64_t>(r.b == sb);
     }
     if (!conflict) {
       out = Output{sa, sb};
@@ -138,9 +166,10 @@ struct BatchColumns<DeltaSquaredColoring> {
     higher_a.clear();
     lower_b.clear();
     for (const NodeId u : neigh) {
-      const std::uint64_t pres = (present[u >> 6] >> (u & 63)) & 1u;
-      higher_a.set_if(pa[u], pres & static_cast<std::uint64_t>(px[u] > sx));
-      lower_b.set_if(pb[u], pres & static_cast<std::uint64_t>(px[u] < sx));
+      const Reg r = reg[u];
+      const std::uint64_t pres = static_cast<std::uint64_t>(r.a != kAbsent);
+      higher_a.set_if(r.a, pres & static_cast<std::uint64_t>(r.x > sx));
+      lower_b.set_if(r.b, pres & static_cast<std::uint64_t>(r.x < sx));
     }
     a[v] = higher_a.mex();
     b[v] = lower_b.mex();
@@ -148,21 +177,27 @@ struct BatchColumns<DeltaSquaredColoring> {
   }
 
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
-    return (x.capacity() + a.capacity() + b.capacity() + px.capacity() +
-            pa.capacity() + pb.capacity()) *
-           sizeof(std::uint64_t);
+    return (a.capacity() + b.capacity()) * sizeof(std::uint64_t) +
+           reg.capacity() * sizeof(Reg);
   }
 };
 
 /// SixColoringFast: Algorithm 1's pair colouring plus the Cole–Vishkin
-/// identifier reduction, so x and r are mutable columns alongside a/b.
-/// Cycle-only (degree exactly 2), like the sequential init.
+/// identifier reduction, so x and r are mutable columns alongside a/b and
+/// the record carries all four.  Cycle-only (degree exactly 2), like the
+/// sequential init, so neighbour reads are sequential and the prefetch
+/// hook is a no-op.
 template <>
 struct BatchColumns<SixColoringFast> {
   using Output = SixColoringFast::Output;
 
-  std::vector<std::uint64_t> x, r, a, b;
-  std::vector<std::uint64_t> px, pr, pa, pb;
+  struct Reg {
+    std::uint64_t x, r;
+    std::uint32_t a, b;
+  };
+
+  std::vector<std::uint64_t> x, r, a, b;  // private state
+  std::vector<Reg> reg;                   // published register (x, r, a, b)
 
   void reset(const Graph& g, const IdAssignment& ids) {
     const NodeId n = g.node_count();
@@ -172,52 +207,46 @@ struct BatchColumns<SixColoringFast> {
     r.assign(n, 0);
     a.assign(n, 0);
     b.assign(n, 0);
-    px.assign(n, 0);
-    pr.assign(n, 0);
-    pa.assign(n, 0);
-    pb.assign(n, 0);
+    reg.assign(n, Reg{0, 0, kAbsent, kAbsent});
   }
 
   void publish(NodeId v) noexcept {
-    px[v] = x[v];
-    pr[v] = r[v];
-    pa[v] = a[v];
-    pb[v] = b[v];
+    reg[v] = Reg{x[v], r[v], register_component(a[v]),
+                 register_component(b[v])};
   }
 
-  bool step(NodeId v, std::span<const NodeId> neigh,
-            const std::uint64_t* present, Output& out) noexcept {
-    const NodeId u0 = neigh[0], u1 = neigh[1];
-    const std::uint64_t p0 = (present[u0 >> 6] >> (u0 & 63)) & 1u;
-    const std::uint64_t p1 = (present[u1 >> 6] >> (u1 & 63)) & 1u;
+  void prefetch(std::span<const NodeId>) const noexcept {}
+
+  bool step(NodeId v, std::span<const NodeId> neigh, Output& out) noexcept {
+    const Reg r0 = reg[neigh[0]], r1 = reg[neigh[1]];
+    const std::uint64_t p0 = static_cast<std::uint64_t>(r0.a != kAbsent);
+    const std::uint64_t p1 = static_cast<std::uint64_t>(r1.a != kAbsent);
     const std::uint64_t sx = x[v], sa = a[v], sb = b[v];
-    const std::uint64_t conflict =
-        (p0 & static_cast<std::uint64_t>(pa[u0] == sa) &
-         static_cast<std::uint64_t>(pb[u0] == sb)) |
-        (p1 & static_cast<std::uint64_t>(pa[u1] == sa) &
-         static_cast<std::uint64_t>(pb[u1] == sb));
+    const std::uint64_t conflict = (static_cast<std::uint64_t>(r0.a == sa) &
+                                    static_cast<std::uint64_t>(r0.b == sb)) |
+                                   (static_cast<std::uint64_t>(r1.a == sa) &
+                                    static_cast<std::uint64_t>(r1.b == sb));
     if (!conflict) {
       out = Output{sa, sb};
       return true;
     }
     ColorBitset higher_a, lower_b;
-    higher_a.set_if(pa[u0], p0 & static_cast<std::uint64_t>(px[u0] > sx));
-    higher_a.set_if(pa[u1], p1 & static_cast<std::uint64_t>(px[u1] > sx));
-    lower_b.set_if(pb[u0], p0 & static_cast<std::uint64_t>(px[u0] < sx));
-    lower_b.set_if(pb[u1], p1 & static_cast<std::uint64_t>(px[u1] < sx));
+    higher_a.set_if(r0.a, p0 & static_cast<std::uint64_t>(r0.x > sx));
+    higher_a.set_if(r1.a, p1 & static_cast<std::uint64_t>(r1.x > sx));
+    lower_b.set_if(r0.b, p0 & static_cast<std::uint64_t>(r0.x < sx));
+    lower_b.set_if(r1.b, p1 & static_cast<std::uint64_t>(r1.x < sx));
     a[v] = higher_a.mex();
     b[v] = lower_b.mex();
     // Identifier reduction, gated like the sequential step on both
     // neighbour registers being non-⊥.
-    if (p0 & p1)
-      cv_identifier_update(x[v], r[v], px[u0], pr[u0], px[u1], pr[u1]);
+    if (p0 & p1) cv_identifier_update(x[v], r[v], r0.x, r0.r, r1.x, r1.r);
     return false;
   }
 
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
-    return (x.capacity() + r.capacity() + a.capacity() + b.capacity() +
-            px.capacity() + pr.capacity() + pa.capacity() + pb.capacity()) *
-           sizeof(std::uint64_t);
+    return (x.capacity() + r.capacity() + a.capacity() + b.capacity()) *
+               sizeof(std::uint64_t) +
+           reg.capacity() * sizeof(Reg);
   }
 };
 
@@ -245,7 +274,6 @@ class BatchExecutor {
     frontier_.assign(words, ~std::uint64_t{0});
     if (n % 64 != 0 && words > 0)
       frontier_.back() = (std::uint64_t{1} << (n % 64)) - 1;
-    present_.assign(words, 0);
     terminated_.assign(words, 0);
     crashed_.assign(words, 0);
     activations_.assign(n, 0);
@@ -295,12 +323,11 @@ class BatchExecutor {
         }
       }
     }
-    // Phase 1: all simultaneous writes.  Presence is a word-wise OR; the
-    // column stores walk the frontier in index order.
+    // Phase 1: all simultaneous writes, walking the frontier in index
+    // order.  A publish also marks the record present (a != kAbsent).
     std::size_t activated = 0;
     for (std::size_t w = 0; w < frontier_.size(); ++w) {
       std::uint64_t bits = frontier_[w];
-      present_[w] |= bits;
       activated += static_cast<std::size_t>(std::popcount(bits));
       while (bits != 0) {
         const NodeId v = static_cast<NodeId>(
@@ -310,18 +337,24 @@ class BatchExecutor {
       }
     }
     // Phases 2+3: reads and private transitions.  Registers were all
-    // published above, so the columns already hold the simultaneous
+    // published above, so the records already hold the simultaneous
     // snapshot.  Terminating or crashing only clears the node's own
-    // frontier bit, so the per-word snapshot `bits` stays valid.
+    // frontier bit, so the per-word snapshot `bits` stays valid — and so
+    // does the lookahead cursor's, which only ever loads a word the main
+    // cursor has not reached yet.  The lookahead runs kLookahead frontier
+    // nodes ahead and prefetches their neighbours' records.
+    FrontierCursor ahead{frontier_.data(), frontier_.size()};
+    for (std::size_t i = 0; i < kLookahead; ++i) prefetch_next(ahead);
     for (std::size_t w = 0; w < frontier_.size(); ++w) {
       std::uint64_t bits = frontier_[w];
       while (bits != 0) {
         const NodeId v = static_cast<NodeId>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
         bits &= bits - 1;
+        prefetch_next(ahead);
         ++activations_[v];
         Output out;
-        if (cols_.step(v, graph_->neighbors(v), present_.data(), out)) {
+        if (cols_.step(v, graph_->neighbors(v), out)) {
           out_a_[v] = out.a;
           out_b_[v] = out.b;
           set_bit(terminated_, v);
@@ -397,14 +430,41 @@ class BatchExecutor {
   /// size) — the numerator of bench_scale's bytes/node.
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
     return cols_.heap_bytes() +
-           (frontier_.capacity() + present_.capacity() +
-            terminated_.capacity() + crashed_.capacity()) *
+           (frontier_.capacity() + terminated_.capacity() +
+            crashed_.capacity()) *
                sizeof(std::uint64_t) +
            (activations_.capacity() + out_a_.capacity() + out_b_.capacity()) *
                sizeof(std::uint64_t);
   }
 
  private:
+  /// How many frontier nodes ahead of the read phase the prefetch runs.
+  /// Lookaheads of 4 to 32 measured alike on random d8 graphs; 8 keeps
+  /// about eight nodes' worth of neighbour reads in flight.
+  static constexpr std::size_t kLookahead = 8;
+
+  /// A forward walk over the set bits of a bitmap that loads each word
+  /// when it enters it.
+  struct FrontierCursor {
+    const std::uint64_t* words;
+    std::size_t count;
+    std::size_t w = 0;
+    std::uint64_t bits = count > 0 ? words[0] : 0;
+  };
+
+  /// Advance `c` to the next frontier node, if any, and prefetch its
+  /// neighbours' registers.
+  void prefetch_next(FrontierCursor& c) const noexcept {
+    while (c.bits == 0) {
+      if (++c.w >= c.count) return;
+      c.bits = c.words[c.w];
+    }
+    const NodeId u = static_cast<NodeId>(
+        c.w * 64 + static_cast<std::size_t>(std::countr_zero(c.bits)));
+    c.bits &= c.bits - 1;
+    cols_.prefetch(graph_->neighbors(u));
+  }
+
   [[nodiscard]] static std::size_t word_count(NodeId n) noexcept {
     return (static_cast<std::size_t>(n) + 63) / 64;
   }
@@ -423,7 +483,6 @@ class BatchExecutor {
   CrashPlan crashes_;
   BatchColumns<A> cols_;
   std::vector<std::uint64_t> frontier_;    // = the working set
-  std::vector<std::uint64_t> present_;     // register ever published
   std::vector<std::uint64_t> terminated_;
   std::vector<std::uint64_t> crashed_;
   std::vector<std::uint64_t> activations_;

@@ -134,6 +134,20 @@ TEST(BatchExecutor, ResetReproducesAFreshRunAndKeepsCapacity) {
   }
 }
 
+TEST(BatchExecutor, DeltaSquaredHoldsAtMostFiftySevenBytesPerNode) {
+  // One 16-byte register record {x, a, b} plus the private a/b columns,
+  // activation counts, outputs and three bitmaps: 56.375 B/node.
+  const NodeId n = 1u << 12;
+  const Graph g = make_cycle(n);
+  BatchExecutor<DeltaSquaredColoring> ex(g, permutation_ids(n, 4));
+  const double per_node =
+      static_cast<double>(ex.heap_bytes()) / static_cast<double>(n);
+  EXPECT_LE(per_node, 57.0);
+  (void)ex.run(1u << 12);
+  EXPECT_LE(static_cast<double>(ex.heap_bytes()) / static_cast<double>(n),
+            57.0);
+}
+
 TEST(BatchExecutor, MetricsFlushMatchesTheResult) {
   const NodeId n = 96;
   const Graph g = make_cycle(n);

@@ -9,6 +9,7 @@
 // mismatches with byte-identical text across reruns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,6 +113,91 @@ TEST(ScaleDifferential, TightBudgetsTimeOutIdentically) {
   for (const std::uint64_t budget : {0u, 1u, 2u, 5u}) {
     expect_equal<DeltaSquaredColoring>(g, sorted_ids(n), CrashPlan{}, budget);
     expect_equal<SixColoringFast>(g, sorted_ids(n), mixed_plan(n), budget);
+  }
+}
+
+/// Identifiers at or above 2^40 whose low 32 bits run opposite to their
+/// full order: a register that kept only 32 bits of x would invert every
+/// higher/lower comparison.
+IdAssignment wide_ids(NodeId n, std::uint64_t seed) {
+  IdAssignment ids = permutation_ids(n, seed);
+  for (std::uint64_t& x : ids) {
+    const std::uint64_t p = x;
+    x = ((p + 1) << 40) | (0xffffffffULL - p);
+  }
+  return ids;
+}
+
+/// Crash-stop about one node in ten before its first activation, so its
+/// register stays ⊥ next to live readers for the whole run.
+CrashPlan silent_tenth(NodeId n, std::uint64_t seed) {
+  CrashPlan plan(n);
+  for (NodeId v = 0; v < n; ++v)
+    if ((v * 0x9e3779b97f4a7c15ULL + seed) % 10 == 0)
+      plan.crash_after_activations(v, 0);
+  return plan;
+}
+
+TEST(ScaleDifferential, IdentifiersAboveTwoToTheFortyStayWide) {
+  const Graph cycle = make_cycle(500);
+  const Graph random = make_random_bounded_degree_csr(500, 8, 5);
+  const Graph torus = make_torus_csr(12, 12);
+  for (const Graph* g : {&cycle, &random, &torus}) {
+    const IdAssignment ids = wide_ids(g->node_count(), 17);
+    ASSERT_GE(*std::min_element(ids.begin(), ids.end()),
+              std::uint64_t{1} << 40);
+    expect_equal<DeltaSquaredColoring>(*g, ids, CrashPlan{}, 1u << 12);
+    expect_equal<DeltaSquaredColoring>(*g, ids, mixed_plan(g->node_count()),
+                                       1u << 12);
+  }
+  expect_equal<SixColoringFast>(cycle, wide_ids(500, 17), CrashPlan{},
+                                1u << 12);
+}
+
+TEST(ScaleDifferential, DegreeSixtyFourDrivesTheLargestComponents) {
+  const struct {
+    Graph graph;
+    const char* name;
+  } cases[] = {
+      {make_random_bounded_degree_csr(400, 64, 3), "random csr 400"},
+      {make_random_bounded_degree_csr(3000, 64, 4), "random csr 3000"},
+      {make_complete(65), "complete"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(c.graph.max_degree(), 64);
+    const NodeId n = c.graph.node_count();
+    for (const IdAssignment& ids : {sorted_ids(n), permutation_ids(n, 8)})
+      expect_equal<DeltaSquaredColoring>(c.graph, ids, CrashPlan{}, 1u << 12);
+  }
+  // Sorted identifiers on K65 spread the palette widest: final components
+  // reach 32, far past anything a degree-8 graph produces.
+  const Graph k65 = make_complete(65);
+  BatchExecutor<DeltaSquaredColoring> batch(k65, sorted_ids(65));
+  const auto result = batch.run(1u << 12);
+  ASSERT_TRUE(result.completed);
+  std::uint64_t widest = 0;
+  for (const auto& out : result.outputs)
+    widest = std::max({widest, out->a, out->b});
+  EXPECT_GE(widest, 32u);
+}
+
+TEST(ScaleDifferential, NeverPublishedRegistersNextToLiveReaders) {
+  const Graph cycle = make_cycle(1000);
+  const Graph random = make_random_bounded_degree_csr(1000, 8, 11);
+  const Graph torus = make_torus_csr(20, 20);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const Graph* g : {&cycle, &random, &torus}) {
+      const NodeId n = g->node_count();
+      expect_equal<DeltaSquaredColoring>(*g, permutation_ids(n, seed),
+                                         silent_tenth(n, seed), 1u << 12);
+    }
+    // On the cycle, a silent neighbour keeps SixColoringFast's
+    // Cole–Vishkin step behind its both-registers-present gate.
+    expect_equal<SixColoringFast>(cycle, permutation_ids(1000, seed),
+                                  silent_tenth(1000, seed), 1u << 12);
+    expect_equal<SixColoringFast>(cycle, sorted_ids(1000),
+                                  silent_tenth(1000, seed), 1u << 12);
   }
 }
 

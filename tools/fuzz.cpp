@@ -30,6 +30,7 @@
 // to reproduce), 2 = usage or artifact error.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -164,11 +165,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // The schedule campaign's default n range is sized for sequential
+  // replay; threads are costlier, so --certify caps nmax.  The range is
+  // validated after the cap.
+  constexpr ftcc::NodeId kCertifyMaxN = 12;
   const auto n_min = static_cast<ftcc::NodeId>(cli.get_u64("nmin"));
-  const auto n_max = static_cast<ftcc::NodeId>(cli.get_u64("nmax"));
+  const auto n_max_flag = static_cast<ftcc::NodeId>(cli.get_u64("nmax"));
+  const ftcc::NodeId n_max =
+      certify ? std::min(n_max_flag, kCertifyMaxN) : n_max_flag;
   if (n_min < 3 || n_min > n_max) {
-    std::cerr << "invalid range --nmin=" << n_min << " --nmax=" << n_max
-              << " (need 3 <= nmin <= nmax)\n";
+    std::cerr << "invalid range --nmin=" << n_min << " --nmax=" << n_max_flag
+              << " (need 3 <= nmin <= nmax";
+    if (certify) std::cerr << "; --certify caps nmax at " << kCertifyMaxN;
+    std::cerr << ")\n";
     return 2;
   }
   const std::string algo_flag = cli.get_string("algo");
@@ -291,9 +300,6 @@ int main(int argc, char** argv) {
   if (certify) {
     ftcc::CertifyCampaignOptions options;
     fill_common(options, options);
-    // The schedule campaign's default n range is sized for sequential
-    // replay; threads are costlier, so cap the default certify range.
-    options.n_max = std::min<ftcc::NodeId>(n_max, 12);
     options.artifact_dir = out_dir;
     options.inject_faults = threaded_faults;
     ftcc::CertifyCampaignReport report = ftcc::run_certify_campaign(options);
